@@ -19,9 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
-from ._kernels import dp_round, dp_round_python
+from ._kernels import backtrack, open_windows, tier_dp, tier_plans
 from .errors import ResourceLimitError
 from .geometry import Ellipsoid, MomentProfile, Region, area, as_profile
 from .scalars import Scalar
@@ -29,7 +27,6 @@ from .weights import WeightMultiset, ellipsoid_weights, weight_expansion
 
 DEFAULT_ORACLE_LIMIT = 4 * 10**5  # on the DP budget 2k
 DEFAULT_ELLIPSOID_LIMIT = 10**6  # on the capacity index k
-_INT64_SAFE = 2**62
 
 
 @dataclass(frozen=True)
@@ -149,56 +146,6 @@ class _ScaledClasses:
         return len(self.weights)
 
 
-def _class_options(scaled_weight: int, copies: int, budget: int):
-    """All (cost, scaled value, d, r) choices for one class within budget.
-    Option 0 is always the free option."""
-    costs, vals, levels = [0], [0], [(0, 0)]
-    d = 0
-    while True:
-        base = copies * (d * d + d)
-        if base > budget:
-            break
-        r_max = min(copies - 1, (budget - base) // (2 * (d + 1)))
-        for r in range(r_max + 1):
-            if d == 0 and r == 0:
-                continue
-            costs.append(base + 2 * r * (d + 1))
-            vals.append((copies * d + r) * scaled_weight)
-            levels.append((d, r))
-        d += 1
-    return costs, vals, levels
-
-
-def _run_dp(classes: _ScaledClasses, budget: int, keep_choices: bool):
-    """Budget DP over all classes.  Returns (dp array, per-class choice
-    arrays or None, per-class option levels)."""
-    all_options = [
-        _class_options(s, n, budget)
-        for s, n in zip(classes.scaled, classes.copies)
-    ]
-    value_bound = sum(max(vals) for _, vals, _ in all_options)
-    int64_ok = value_bound < _INT64_SAFE
-    dtype = np.int64 if int64_ok else object
-    kernel = dp_round if int64_ok else dp_round_python
-
-    dp = np.zeros(budget + 1, dtype=dtype)
-    scratch = np.zeros(budget + 1, dtype=dtype)
-    choices = [] if keep_choices else None
-    for costs, vals, _ in all_options:
-        choice = np.zeros(budget + 1, dtype=np.int32)
-        kernel(
-            dp,
-            scratch,
-            choice,
-            np.asarray(costs, dtype=dtype),
-            np.asarray(vals, dtype=dtype),
-        )
-        dp, scratch = scratch, dp
-        if keep_choices:
-            choices.append(choice)
-    return dp, choices, all_options
-
-
 def multiset_capacity_oracle(
     w: WeightMultiset, k: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT
 ) -> CapacityResult:
@@ -213,37 +160,45 @@ def multiset_capacity_oracle(
     if k < 0:
         raise ValueError("capacity index must be >= 0")
     classes = _ScaledClasses(w)
-    dp, choices, all_options = _run_dp(classes, budget, keep_choices=True)
-
-    b = budget
-    picked = []
-    for i in range(len(classes) - 1, -1, -1):
-        opt = int(choices[i][b])
-        costs, _, levels = all_options[i]
-        d, r = levels[opt]
-        picked.append(
-            ClassAssignment(classes.weights[i], classes.copies[i], d, r)
-        )
-        b -= costs[opt]
-    witness = CandidateAssignment(tuple(reversed(picked)), budget)
+    windows = open_windows(len(classes), budget)
+    plans = tier_plans(classes.scaled, classes.copies, budget, windows)
+    dp, history = tier_dp(plans, budget, keep=True)
+    units = backtrack(classes.scaled, classes.copies, history, windows, budget)
+    witness = CandidateAssignment(
+        tuple(
+            ClassAssignment(wt, n, *divmod(u, n))
+            for wt, n, u in zip(classes.weights, classes.copies, units)
+        ),
+        budget,
+    )
     value = Fraction(int(dp[budget]), classes.denominator)
     assert witness.value == value and witness.cost <= budget
     return CapacityResult(best=value, upper=value, exact=True, witness=witness)
 
 
-def multiset_capacity_sweep(
+def multiset_capacity_table(
     w: WeightMultiset, k_max: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT
-) -> list:
-    """Exact c_k for every k in 0..k_max from a single DP run."""
+) -> tuple:
+    """One DP sweep over the budget 2*k_max: (dp, denominator) with
+    c_k = dp[2k] / denominator for every k in 0..k_max."""
     budget = 2 * k_max
     if budget > oracle_limit:
         raise ResourceLimitError(
             f"DP budget {budget} exceeds the oracle limit {oracle_limit}"
         )
     classes = _ScaledClasses(w)
-    dp, _, _ = _run_dp(classes, budget, keep_choices=False)
-    den = classes.denominator
-    return [Fraction(int(dp[2 * k]), den) for k in range(k_max + 1)]
+    windows = open_windows(len(classes), budget)
+    plans = tier_plans(classes.scaled, classes.copies, budget, windows)
+    dp, _ = tier_dp(plans, budget, keep=False)
+    return dp, classes.denominator
+
+
+def multiset_capacity_sweep(
+    w: WeightMultiset, k_max: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT
+) -> list:
+    """Exact c_k for every k in 0..k_max from a single DP run."""
+    dp, den = multiset_capacity_table(w, k_max, oracle_limit)
+    return [Fraction(v, den) for v in dp[::2].tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +303,12 @@ class _Solution:
 
 
 def _relaxation_mu(classes: _ScaledClasses, k: int) -> float:
-    """Float multiplier mu with sum n_i (d^2 + d) ~ 2k at
-    d_i = max(a_i/mu - 1/2, 0)."""
-    a = [float(wt) for wt in classes.weights]
+    """Float multiplier mu, in units of the largest weight, with
+    sum n_i (d^2 + d) ~ 2k at d_i = max(a_i/mu - 1/2, 0).  Capacities scale
+    linearly, so dividing by the largest weight first loses nothing and
+    keeps weights below the float range from underflowing to zero."""
+    top = max(classes.weights)
+    a = [float(wt / top) for wt in classes.weights]
     n = classes.copies
 
     def spent(mu: float) -> float:
@@ -387,69 +345,32 @@ def _dual_bound(classes: _ScaledClasses, k: int, mu: Fraction) -> Fraction:
 
 
 _POLISH_BUDGET_LIMIT = 4 * 10**5
-_POLISH_COST_LIMIT = 4 * 10**8  # budget * total option count
-
-
-def _polish_options(classes: _ScaledClasses, sol: "_Solution", budget: int, window: int):
-    """Restricted per-class option tables: levels within ``window`` of the
-    incumbent (plus the empty option), promotions free within budget."""
-    all_options = []
-    for i, (s, n) in enumerate(zip(classes.scaled, classes.copies)):
-        costs, vals, levels = [0], [0], [(0, 0)]
-        d_inc = sol.levels[i]
-        for d in range(max(0, d_inc - window), d_inc + window + 1):
-            base = n * (d * d + d)
-            if base > budget:
-                break
-            r_max = min(n - 1, (budget - base) // (2 * (d + 1)))
-            for r in range(r_max + 1):
-                if d == 0 and r == 0:
-                    continue
-                costs.append(base + 2 * r * (d + 1))
-                vals.append((n * d + r) * s)
-                levels.append((d, r))
-        all_options.append((costs, vals, levels))
-    return all_options
+_POLISH_COST_LIMIT = 4 * 10**8  # budget * DP items
 
 
 def _polish(classes: _ScaledClasses, sol: "_Solution", budget: int, window: int):
-    """Trust-region DP around the incumbent; returns an improved solution or
-    None when the restricted instance is too large for the policy limits."""
+    """Trust-region DP around the incumbent: each class either empty or at
+    levels within ``window`` of the incumbent's, promotions free within
+    budget.  Returns an improved solution, the incumbent, or None when the
+    restricted instance is too large for the policy limits."""
     if budget > _POLISH_BUDGET_LIMIT:
         return None
-    all_options = _polish_options(classes, sol, budget, window)
-    total_options = sum(len(c) for c, _, _ in all_options)
-    if budget * total_options > _POLISH_COST_LIMIT:
+    windows = [
+        (max(0, d - window), n * (d + window + 1) - 1)
+        for n, d in zip(classes.copies, sol.levels)
+    ]
+    plans = tier_plans(classes.scaled, classes.copies, budget, windows)
+    if budget * sum(len(p[2]) for p in plans if p) > _POLISH_COST_LIMIT:
         return None
-    value_bound = sum(max(vals) for _, vals, _ in all_options)
-    int64_ok = value_bound < _INT64_SAFE
-    dtype = np.int64 if int64_ok else object
-    kernel = dp_round if int64_ok else dp_round_python
-    dp = np.zeros(budget + 1, dtype=dtype)
-    scratch = np.zeros(budget + 1, dtype=dtype)
-    choices = []
-    for costs, vals, _ in all_options:
-        choice = np.zeros(budget + 1, dtype=np.int32)
-        kernel(
-            dp,
-            scratch,
-            choice,
-            np.asarray(costs, dtype=dtype),
-            np.asarray(vals, dtype=dtype),
-        )
-        dp, scratch = scratch, dp
-        choices.append(choice)
+    dp, history = tier_dp(plans, budget, keep=True)
     if int(dp[budget]) <= sol.scaled_value():
         return sol
-    b = budget
-    levels = [0] * len(classes)
-    promoted = [0] * len(classes)
-    for i in range(len(classes) - 1, -1, -1):
-        opt = int(choices[i][b])
-        costs, _, option_levels = all_options[i]
-        levels[i], promoted[i] = option_levels[opt]
-        b -= costs[opt]
-    return _Solution(classes, levels, promoted)
+    units = backtrack(classes.scaled, classes.copies, history, windows, budget)
+    return _Solution(
+        classes,
+        [u // n for u, n in zip(units, classes.copies)],
+        [u % n for u, n in zip(units, classes.copies)],
+    )
 
 
 def multiset_capacity_fast(
@@ -471,10 +392,11 @@ def multiset_capacity_fast(
     budget = 2 * k
     classes = _ScaledClasses(w)
 
+    top = max(classes.weights)
     mu_f = _relaxation_mu(classes, k)
     sol = _Solution(classes)
     for i, wt in enumerate(classes.weights):
-        d = int(float(wt) / mu_f - 0.5)
+        d = int(float(wt / top) / mu_f - 0.5)
         if d > 0:
             # floor of the continuous level keeps the seed under budget
             sol.levels[i] = d
@@ -516,7 +438,7 @@ def multiset_capacity_fast(
     # incumbent's levels, where the dual often matches the optimum exactly.
     candidates = []
     if mu_f > 0 and math.isfinite(mu_f):
-        candidates.append(Fraction(mu_f).limit_denominator(10**12))
+        candidates.append(Fraction(mu_f).limit_denominator(10**12) * top)
     for i, wt in enumerate(classes.weights):
         d = sol.levels[i]
         for shift in (-1, 0, 1):

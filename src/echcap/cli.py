@@ -8,6 +8,7 @@ configured assertion passes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -73,6 +74,8 @@ def _load_weights(domain) -> WeightMultiset:
 
 
 def cmd_capacity(args) -> int:
+    if args.k is None and args.kmax is None:
+        raise EchcapError("capacity needs --k or --kmax")
     domain = load_domain(args.domain)
     limit = args.oracle_limit
     if args.kmax is not None:
@@ -169,21 +172,27 @@ def cmd_chart(args) -> int:
                     rows.append([Fraction(c) for c in row])
     else:
         rows = [[parse_rational(c) for c in args.x.split(",")]]
-    writer = csv.writer(sys.stdout if not args.out else open(Path(args.out) / "chart.csv", "w", newline=""))
-    writer.writerow(("x", "y_stage", "b_stage", "snap_error"))
-    for point in rows:
-        cp = chart_embed(point, snap=args.mode, precision=args.precision)
-        writer.writerow(
-            (
-                ";".join(str(c) for c in cp.x),
-                ";".join(str(c) for c in cp.y),
-                ";".join(
-                    format_rational(b) if isinstance(b, Fraction) else format(float(b), ".12g")
-                    for b in cp.B
-                ),
-                ";".join(format(float(e), ".6g") for e in cp.snap_errors),
+    sink = (
+        open(Path(args.out) / "chart.csv", "w", newline="")
+        if args.out
+        else contextlib.nullcontext(sys.stdout)
+    )
+    with sink as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("x", "y_stage", "b_stage", "snap_error"))
+        for point in rows:
+            cp = chart_embed(point, snap=args.mode, precision=args.precision)
+            writer.writerow(
+                (
+                    ";".join(str(c) for c in cp.x),
+                    ";".join(str(c) for c in cp.y),
+                    ";".join(
+                        format_rational(b) if isinstance(b, Fraction) else format(float(b), ".12g")
+                        for b in cp.B
+                    ),
+                    ";".join(format(float(e), ".6g") for e in cp.snap_errors),
+                )
             )
-        )
     return 0
 
 

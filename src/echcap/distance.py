@@ -15,16 +15,15 @@ from typing import Optional, Sequence
 
 from .capacities import (
     DEFAULT_ORACLE_LIMIT,
-    capacity_interval,
     domain_volume,
     exact_capacity,
     multiset_capacity_fast,
-    multiset_capacity_sweep,
+    multiset_capacity_table,
 )
-from .errors import DimensionMismatchError, RealizationLimitError
+from .errors import DimensionMismatchError, EchcapError, RealizationLimitError
 from .geometry import Ellipsoid, MomentProfile, inclusion_scale
 from .quasiflat import ParameterVector, build_domain, build_weights, q_metric
-from .weights import WeightMultiset
+from .weights import WeightMultiset, weight_expansion
 
 DEFAULT_SAMPLES_PER_DECADE = 64
 DEFAULT_K_CAP = 10**7
@@ -44,15 +43,40 @@ def sample_indices(k_max: int, per_decade: int = DEFAULT_SAMPLES_PER_DECADE) -> 
     return sorted(ks)
 
 
-def _interval(domain, k: int, oracle_limit: int):
-    """(lo, hi) on c_k, preferring cheap engines for sweep-scale queries."""
-    if isinstance(domain, Ellipsoid):
-        c = exact_capacity(domain, k)
-        return c, c
-    if isinstance(domain, WeightMultiset):
-        result = multiset_capacity_fast(domain, k)
-        return result.best, result.upper
-    return capacity_interval(domain, k, oracle_limit=oracle_limit)
+class CapacityProfile:
+    """(lo, hi) on c_k of one domain, for the k of one computation.
+
+    Ellipsoids use their closed form or lattice count.  Weight multisets,
+    and moment profiles through their weights, take every c_k up to
+    ``reach`` = min(k_max, oracle_limit // 2) exactly from one DP sweep,
+    kept as the integer DP array and its denominator, and fast-solver
+    intervals above it.  Intervals are memoized by k for the life of the
+    profile."""
+
+    def __init__(self, domain, k_max: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT):
+        if isinstance(domain, MomentProfile):
+            domain, _ = weight_expansion(domain)
+        if not isinstance(domain, (Ellipsoid, WeightMultiset)):
+            raise TypeError(f"unsupported domain type {type(domain)!r}")
+        self.domain = domain
+        self.reach = 0
+        if isinstance(domain, WeightMultiset):
+            self.reach = min(max(k_max, 0), oracle_limit // 2)
+            self._dp, self._den = multiset_capacity_table(domain, self.reach, oracle_limit)
+        self._memo = {}
+
+    def interval(self, k: int) -> tuple:
+        if k not in self._memo:
+            if isinstance(self.domain, Ellipsoid):
+                c = exact_capacity(self.domain, k)
+                self._memo[k] = (c, c)
+            elif k <= self.reach:
+                c = Fraction(int(self._dp[2 * k]), self._den)
+                self._memo[k] = (c, c)
+            else:
+                result = multiset_capacity_fast(self.domain, k)
+                self._memo[k] = (result.best, result.upper)
+        return self._memo[k]
 
 
 def capacity_lower_bound(
@@ -63,14 +87,18 @@ def capacity_lower_bound(
     oracle_limit: int = DEFAULT_ORACLE_LIMIT,
 ) -> tuple:
     """max over sampled 1 <= k <= K of |ln(c_k(U)/c_k(V))|, a valid lower
-    bound for d_SM(U, V); intervals propagate conservatively.
+    bound for d_SM(U, V); intervals propagate conservatively.  U and V are
+    domains or CapacityProfiles, which share their capacities across calls.
 
-    Returns (bound, witness_k)."""
+    Returns (bound, witness_k), witness_k the first k that reaches the
+    bound."""
+    pu = U if isinstance(U, CapacityProfile) else CapacityProfile(U, K, oracle_limit)
+    pv = V if isinstance(V, CapacityProfile) else CapacityProfile(V, K, oracle_limit)
     best = 0.0
     witness = 0
     for k in sample_indices(K, per_decade):
-        lo_u, hi_u = _interval(U, k, oracle_limit)
-        lo_v, hi_v = _interval(V, k, oracle_limit)
+        lo_u, hi_u = pu.interval(k)
+        lo_v, hi_v = pv.interval(k)
         if min(lo_u, lo_v, hi_u, hi_v) <= 0:
             continue  # k = 0 style degeneracies are excluded by k >= 1
         bound = max(
@@ -89,7 +117,7 @@ def volume_lower_bound(U, V) -> float:
     vv = domain_volume(V)
     if vu <= 0 or vv <= 0:
         raise ValueError("volume lower bound needs positive areas")
-    return abs(math.log(vu / vv)) / 2
+    return math.log(max(vu, vv) / min(vu, vv)) / 2
 
 
 @dataclass(frozen=True)
@@ -238,8 +266,11 @@ def certificate(
     fit the quasi-isometry sandwich constants.
 
     K is chosen per pair as max_i B_i^{i+1} over both vectors (the witness
-    index of the lower-bound argument), capped by policy."""
+    index of the lower-bound argument), capped by policy.  Each domain's
+    capacities come from one CapacityProfile, built up to the largest K
+    of the pairs it is in."""
     rows = []
+    pending = []  # (row index, v, w, metric, weights of v and of w, K)
     for v, w in pairs:
         if len(v) != len(w):
             rows.append(
@@ -250,15 +281,26 @@ def certificate(
         try:
             wu = build_weights(v)
             ww = build_weights(w)
-        except Exception as exc:  # irrational weights etc.
+        except EchcapError as exc:  # irrational weights etc.
             rows.append(PairResult(v, w, metric, None, None, 0, True, str(exc)))
             continue
         k_target = max(
             int(b ** (i + 2)) for vec in (v, w) for i, b in enumerate(vec.B)
         )
-        k_target = min(k_target, k_cap)
+        pending.append((len(rows), v, w, metric, wu, ww, min(k_target, k_cap)))
+        rows.append(None)
+
+    k_needed = {}
+    for *_, wu, ww, k_target in pending:
+        for wm in (wu, ww):
+            k_needed[wm] = max(k_needed.get(wm, 0), k_target)
+    profiles = {
+        wm: CapacityProfile(wm, k_max, oracle_limit) for wm, k_max in k_needed.items()
+    }
+
+    for idx, v, w, metric, wu, ww, k_target in pending:
         lower_cap, witness = capacity_lower_bound(
-            wu, ww, k_target, per_decade=per_decade, oracle_limit=oracle_limit
+            profiles[wu], profiles[ww], k_target, per_decade=per_decade
         )
         lower = max(lower_cap, volume_lower_bound(wu, ww))
         upper = lemma_upper_bound(v, w, precision=precision)
@@ -268,7 +310,7 @@ def certificate(
                 upper = min(upper, d_i.distance)
             except RealizationLimitError:
                 pass
-        rows.append(PairResult(v, w, metric, lower, upper, witness))
+        rows[idx] = PairResult(v, w, metric, lower, upper, witness)
     evaluated = [p for p in rows if not p.skipped]
     a, b = fit_quasi_isometry(
         [p.metric for p in evaluated], [p.lower for p in evaluated]

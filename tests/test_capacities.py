@@ -184,6 +184,19 @@ def test_fast_interval_contract():
     assert big.gap <= Fraction(1, 20)
 
 
+def test_fast_tiny_weights():
+    # weights below the float range: the relaxation works relative to the
+    # largest weight, so nothing underflows
+    tiny = Fraction(1, 10**400)
+    wm = WeightMultiset([(tiny, 3)])
+    result = multiset_capacity_fast(wm, 10)
+    assert result.best == multiset_capacity_oracle(wm, 10).best == 6 * tiny
+    assert result.best <= result.upper
+    mixed = WeightMultiset([(tiny, 2), (tiny / 3, 5)])
+    result = multiset_capacity_fast(mixed, 40)
+    assert result.best <= multiset_capacity_oracle(mixed, 40).best <= result.upper
+
+
 def test_exact_capacity_dispatch():
     assert exact_capacity(Ellipsoid.ball(2), 3) == 4
     assert exact_capacity(Ellipsoid(1, 2), 3) == 2

@@ -42,6 +42,12 @@ def test_capacity_sweep_csv(ellipsoid_file, capsys):
     assert [r[1] for r in rows[1:]] == ["0", "1", "2", "2", "3"]
 
 
+def test_capacity_needs_k_or_kmax(ball_file, capsys):
+    assert main(["capacity", "--domain", ball_file]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_weights_and_realize(ellipsoid_file, capsys):
     assert main(["weights", "--domain", ellipsoid_file]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -61,6 +67,14 @@ def test_build_flat(capsys):
 def test_chart_inline(capsys):
     assert main(["chart", "--x", "0"]) == 0
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["x", "y_stage", "b_stage", "snap_error"]
+    assert rows[1][2] == "400/1;3268864/1"
+
+
+def test_chart_out_file(tmp_path, capsys):
+    assert main(["chart", "--x", "0", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == ""
+    rows = list(csv.reader(io.StringIO((tmp_path / "chart.csv").read_text())))
     assert rows[0] == ["x", "y_stage", "b_stage", "snap_error"]
     assert rows[1][2] == "400/1;3268864/1"
 

@@ -15,7 +15,7 @@ from echcap.distance import (
 )
 from echcap.errors import DimensionMismatchError
 from echcap.geometry import Ellipsoid
-from echcap.quasiflat import ParameterVector
+from echcap.quasiflat import ParameterVector, build_weights
 from echcap.weights import WeightMultiset
 
 
@@ -117,3 +117,31 @@ def test_certificate_skips_mismatched_pairs():
     )
     assert cert.pairs[0].skipped
     assert "dimension" in cert.pairs[0].reason
+
+
+def _small_grid_certificate():
+    vecs = [ParameterVector([b, b * b]) for b in (4, 16, 64)]
+    pairs = [(v, w) for v in vecs for w in vecs]
+    # k_cap above the sweep's reach (oracle_limit // 2) exercises both the
+    # exact profile and the fast-solver intervals
+    return pairs, certificate(pairs, k_cap=400, per_decade=16, oracle_limit=300)
+
+
+def test_certificate_rows_match_separate_lower_bounds():
+    pairs, cert = _small_grid_certificate()
+    for (v, w), p in zip(pairs, cert.pairs):
+        wu, ww = build_weights(v), build_weights(w)
+        k_target = min(400, max(int(b ** (i + 2)) for x in (v, w) for i, b in enumerate(x.B)))
+        bound, witness = capacity_lower_bound(
+            wu, ww, k_target, per_decade=16, oracle_limit=300
+        )
+        assert p.lower == max(bound, volume_lower_bound(wu, ww))
+        assert p.witness_k == witness
+
+
+def test_certificate_rows_symmetric():
+    _, cert = _small_grid_certificate()
+    rows = {(p.v, p.w): p for p in cert.pairs}
+    for (v, w), p in rows.items():
+        q = rows[(w, v)]
+        assert (p.lower, p.upper, p.witness_k) == (q.lower, q.upper, q.witness_k)

@@ -1,77 +1,133 @@
+"""The tier DP behind the oracle, the sweep and the fast solver's polish,
+checked against direct enumeration."""
+
+import itertools
 import random
+from fractions import Fraction
 
-import numpy as np
-import pytest
-
-from echcap._kernels import BACKEND, dp_round, dp_round_python
-
-
-def reference_round(dp_in, costs, vals):
-    """Straightforward per-cell maximization used as the kernel oracle."""
-    n = len(dp_in)
-    out = np.array(dp_in, copy=True)
-    choice = np.zeros(n, dtype=np.int32)
-    for b in range(n):
-        for opt in range(1, len(costs)):
-            c, v = costs[opt], vals[opt]
-            if c <= b and dp_in[b - c] + v > out[b]:
-                out[b] = dp_in[b - c] + v
-                choice[b] = opt
-    return out, choice
+from echcap._kernels import backtrack, open_windows, tier_dp, tier_plans
+from echcap.capacities import (
+    _polish,
+    _ScaledClasses,
+    _Solution,
+    multiset_capacity_oracle,
+)
+from echcap.weights import WeightMultiset
 
 
-def random_instance(rng, size):
-    dp_in = np.array([rng.randint(0, 50) for _ in range(size)], dtype=np.int64)
-    n_opts = rng.randint(1, 8)
-    costs = [0] + [rng.randint(0, size + 5) for _ in range(n_opts)]
-    vals = [0] + [rng.randint(0, 100) for _ in range(n_opts)]
-    return dp_in, np.array(costs, dtype=np.int64), np.array(vals, dtype=np.int64)
+def normal_cost(n, u):
+    d, r = divmod(u, n)
+    return n * (d * d + d) + 2 * r * (d + 1)
 
 
-@pytest.mark.parametrize("kernel", [dp_round, dp_round_python])
-def test_kernel_against_reference(kernel):
+def brute_per_copy(classes, budget):
+    """best[b] over per-copy levels with sum (d^2 + d) <= b, for every
+    b <= budget, with no normal-form assumption."""
+    copies = [s for s, n in zip(classes.scaled, classes.copies) for _ in range(n)]
+    best = [0] * (budget + 1)
+
+    def rec(i, cost, value):
+        if i == len(copies):
+            for b in range(cost, budget + 1):
+                best[b] = max(best[b], value)
+            return
+        d = 0
+        while cost + d * d + d <= budget:
+            rec(i + 1, cost + d * d + d, value + d * copies[i])
+            d += 1
+
+    rec(0, 0, 0)
+    return best
+
+
+def random_classes(rng, max_copies=3, max_total=5):
+    entries = {}
+    total = 0
+    while total < max_total:
+        n = rng.randint(1, max_copies)
+        entries[Fraction(rng.randint(1, 12), rng.randint(1, 12))] = n
+        total += n
+        if rng.random() < 0.4:
+            break
+    return _ScaledClasses(WeightMultiset(entries.items()))
+
+
+def plans_for(classes, budget):
+    windows = open_windows(len(classes), budget)
+    return tier_plans(classes.scaled, classes.copies, budget, windows)
+
+
+def test_tier_dp_against_per_copy_enumeration():
     rng = random.Random(2024)
     for _ in range(40):
-        dp_in, costs, vals = random_instance(rng, rng.randint(1, 60))
-        expected, _ = reference_round(dp_in, costs, vals)
-        out = np.zeros_like(dp_in)
-        choice = np.zeros(len(dp_in), dtype=np.int32)
-        kernel(dp_in, out, choice, costs, vals)
-        assert np.array_equal(out, expected)
-        # the chosen option must reproduce the cell value
-        for b in range(len(dp_in)):
-            opt = int(choice[b])
-            assert costs[opt] <= b
-            assert dp_in[b - costs[opt]] + vals[opt] == out[b]
+        classes = random_classes(rng)
+        budget = rng.randint(0, 40)
+        dp, _ = tier_dp(plans_for(classes, budget), budget, keep=False)
+        assert [int(x) for x in dp] == brute_per_copy(classes, budget)
 
 
-def test_backends_agree():
+def test_witness_reproduces_value_in_normal_form():
     rng = random.Random(31337)
-    for _ in range(40):
-        dp_in, costs, vals = random_instance(rng, rng.randint(1, 200))
-        out_a = np.zeros_like(dp_in)
-        out_b = np.zeros_like(dp_in)
-        ch_a = np.zeros(len(dp_in), dtype=np.int32)
-        ch_b = np.zeros(len(dp_in), dtype=np.int32)
-        dp_round(dp_in, out_a, ch_a, costs, vals)
-        dp_round_python(dp_in, out_b, ch_b, costs, vals)
-        assert np.array_equal(out_a, out_b)
+    for _ in range(60):
+        classes = random_classes(rng, max_copies=40, max_total=60)
+        budget = rng.randint(0, 400)
+        windows = open_windows(len(classes), budget)
+        dp, history = tier_dp(plans_for(classes, budget), budget, keep=True)
+        units = backtrack(classes.scaled, classes.copies, history, windows, budget)
+        assert sum(u * s for u, s in zip(units, classes.scaled)) == dp[budget]
+        assert sum(normal_cost(n, u) for u, n in zip(units, classes.copies)) <= budget
+    wm = WeightMultiset([(Fraction(7, 3), 5), (Fraction(1, 4), 30)])
+    result = multiset_capacity_oracle(wm, 150)
+    for c in result.witness.classes:
+        assert c.level >= 0 and 0 <= c.promoted < c.copies
+    assert result.witness.value == result.best
+    assert result.witness.cost <= 300
 
 
-def test_python_kernel_handles_bigints():
-    big = 10**30
-    dp_in = np.array([0, big], dtype=object)
-    out = np.zeros(2, dtype=object)
-    choice = np.zeros(2, dtype=np.int32)
-    dp_round_python(
-        dp_in,
-        out,
-        choice,
-        np.array([0, 1], dtype=object),
-        np.array([0, 3 * big], dtype=object),
-    )
-    assert out[1] == 3 * big
+def test_object_dtype_for_large_values():
+    big = 2**70
+    wm = WeightMultiset([(Fraction(3, 2), 2), (Fraction(1, 3), 4)])
+    classes = _ScaledClasses(wm.scaled(big))
+    budget = 60
+    dp, _ = tier_dp(plans_for(classes, budget), budget, keep=False)
+    assert dp.dtype == object
+    assert max(dp) >= 2**62
+    for k in (1, 7, 30):
+        small = multiset_capacity_oracle(wm, k)
+        large = multiset_capacity_oracle(wm.scaled(big), k)
+        assert large.best == big * small.best == Fraction(int(dp[2 * k]), classes.denominator)
+        assert large.witness.value == large.best
 
 
-def test_backend_reported():
-    assert BACKEND in ("cython", "python")
+def enumerate_window(classes, levels, window, budget):
+    """Best scaled value with each class empty or at levels within
+    ``window`` of ``levels``, by enumerating every combination."""
+    choices = []
+    for n, d in zip(classes.copies, levels):
+        lo = n * max(0, d - window)
+        hi = n * (d + window + 1) - 1
+        choices.append([0] + list(range(max(lo, 1), hi + 1)))
+    best = 0
+    for units in itertools.product(*choices):
+        cost = sum(normal_cost(n, u) for n, u in zip(classes.copies, units))
+        if cost <= budget:
+            best = max(best, sum(u * s for u, s in zip(units, classes.scaled)))
+    return best
+
+
+def test_polish_matches_window_enumeration():
+    rng = random.Random(7)
+    for _ in range(200):
+        classes = random_classes(rng, max_copies=4, max_total=6)
+        budget = rng.randint(4, 80)
+        window = rng.randint(0, 2)
+        sol = _Solution(classes, [rng.randint(0, 4) for _ in range(len(classes))])
+        while sol.cost > budget:
+            sol.demote(max(range(len(classes)), key=lambda i: sol.levels[i]))
+        polished = _polish(classes, sol, budget, window)
+        expected = max(
+            enumerate_window(classes, sol.levels, window, budget), sol.scaled_value()
+        )
+        assert polished.scaled_value() == expected
+        assert polished.cost <= budget
+        assert all(0 <= r < n for r, n in zip(polished.promoted, classes.copies))
