@@ -5,6 +5,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from echcap._kernels import backtrack, open_windows, tier_dp, tier_plans
 from echcap.capacities import (
     _polish,
@@ -20,10 +22,10 @@ def normal_cost(n, u):
     return n * (d * d + d) + 2 * r * (d + 1)
 
 
-def brute_per_copy(classes, budget):
+def brute_per_copy(scaled, counts, budget):
     """best[b] over per-copy levels with sum (d^2 + d) <= b, for every
     b <= budget, with no normal-form assumption."""
-    copies = [s for s, n in zip(classes.scaled, classes.copies) for _ in range(n)]
+    copies = [s for s, n in zip(scaled, counts) for _ in range(n)]
     best = [0] * (budget + 1)
 
     def rec(i, cost, value):
@@ -57,13 +59,24 @@ def plans_for(classes, budget):
     return tier_plans(classes.scaled, classes.copies, budget, windows)
 
 
-def test_tier_dp_against_per_copy_enumeration():
+# one DP pass without the per-class history, and one that keeps it
+@pytest.mark.parametrize("keep", [False, True], ids=["dp_round0", "dp_round1"])
+def test_kernel_against_reference(keep):
     rng = random.Random(2024)
     for _ in range(40):
         classes = random_classes(rng)
         budget = rng.randint(0, 40)
-        dp, _ = tier_dp(plans_for(classes, budget), budget, keep=False)
-        assert [int(x) for x in dp] == brute_per_copy(classes, budget)
+        dp, history = tier_dp(plans_for(classes, budget), budget, keep=keep)
+        assert [int(x) for x in dp] == brute_per_copy(
+            classes.scaled, classes.copies, budget
+        )
+        if keep:
+            # history[i] is the dp over the first i classes
+            assert len(history) == len(classes) + 1
+            for i, before in enumerate(history):
+                assert [int(x) for x in before] == brute_per_copy(
+                    classes.scaled[:i], classes.copies[:i], budget
+                )
 
 
 def test_witness_reproduces_value_in_normal_form():
