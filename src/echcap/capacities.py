@@ -17,13 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from ._kernels import backtrack, open_windows, tier_dp, tier_plans
 from .errors import ResourceLimitError
-from .geometry import Ellipsoid, MomentProfile, Region, area, as_profile
+from .geometry import Ellipsoid, MomentProfile, area
 from .scalars import Scalar
-from .weights import WeightMultiset, ellipsoid_weights, weight_expansion
+from .weights import WeightMultiset, weight_expansion
 
 DEFAULT_ORACLE_LIMIT = 4 * 10**5  # on the DP budget 2k
 DEFAULT_ELLIPSOID_LIMIT = 10**6  # on the capacity index k
@@ -82,9 +82,12 @@ class CapacityResult:
 
     @property
     def gap(self) -> Scalar:
-        if self.best == 0:
-            return Fraction(0)
-        return (self.upper - self.best) / self.best
+        return relative_gap(self.best, self.upper)
+
+
+def relative_gap(lo: Scalar, hi: Scalar) -> Scalar:
+    """(hi - lo) / lo for an interval on c_k, and 0 when lo = 0."""
+    return Fraction(0) if lo == 0 else (hi - lo) / lo
 
 
 def ball_capacity(a, k: int) -> Scalar:
@@ -373,13 +376,12 @@ def _polish(classes: _ScaledClasses, sol: "_Solution", budget: int, window: int)
     )
 
 
-def multiset_capacity_fast(
-    w: WeightMultiset,
-    k: int,
-    exchange_window: int = 3,
-    max_rounds: int = 100,
-    polish_window: int = 4,
-) -> CapacityResult:
+_EXCHANGE_WINDOW = 3  # units one exchange move demotes, at most
+_MAX_ROUNDS = 100  # exchange rounds
+_POLISH_WINDOW = 4  # levels the trust region spans around the incumbent
+
+
+def multiset_capacity_fast(w: WeightMultiset, k: int) -> CapacityResult:
     """Interval-certified capacity: incumbent from relaxation seeding,
     greedy budget fill and bounded exchange search; upper bound from the
     Lagrangian dual of the continuous relaxation."""
@@ -406,11 +408,11 @@ def multiset_capacity_fast(
         sol.demote(worst)
     sol.greedy_fill(budget)
 
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         improved = False
         base_value = sol.scaled_value()
         for j in range(len(classes)):
-            for delta in range(1, exchange_window + 1):
+            for delta in range(1, _EXCHANGE_WINDOW + 1):
                 trial = sol.clone()
                 if not trial.demote(j, delta):
                     break
@@ -423,14 +425,13 @@ def multiset_capacity_fast(
         if not improved:
             break
 
-    if polish_window > 0:
-        # Re-center the trust region after each improvement so the polish
-        # can walk further than one window from the incumbent.
-        for _ in range(8):
-            polished = _polish(classes, sol, budget, polish_window)
-            if polished is None or polished.scaled_value() <= sol.scaled_value():
-                break
-            sol = polished
+    # Re-center the trust region after each improvement so the polish can
+    # walk further than one window from the incumbent.
+    for _ in range(8):
+        polished = _polish(classes, sol, budget, _POLISH_WINDOW)
+        if polished is None or polished.scaled_value() <= sol.scaled_value():
+            break
+        sol = polished
 
     best = Fraction(sol.scaled_value(), classes.denominator)
 
@@ -457,39 +458,53 @@ def multiset_capacity_fast(
 
 
 # ---------------------------------------------------------------------------
-# Generic dispatch and Weyl-law diagnostics
+# The one dispatch on domain type, and Weyl-law diagnostics
 # ---------------------------------------------------------------------------
 
 
-def exact_capacity(domain, k: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> Scalar:
-    """Exact c_k for a ball/ellipsoid/profile/weight multiset."""
-    if isinstance(domain, Ellipsoid):
-        if domain.a == domain.b:
-            return ball_capacity(domain.a, k)
-        return ellipsoid_capacity(domain, k)
-    if isinstance(domain, MomentProfile):
-        domain, _ = weight_expansion(domain)
-    if isinstance(domain, WeightMultiset):
-        return multiset_capacity_oracle(domain, k, oracle_limit=oracle_limit).best
-    raise TypeError(f"unsupported domain type {type(domain)!r}")
+class CapacityProfile:
+    """(lo, hi) on c_k of one domain, for the k of one computation; the
+    only place that decides which engine answers c_k.
 
+    Balls use their closed form and ellipsoids their lattice count.  Weight
+    multisets, and moment profiles through their weights, take every c_k up
+    to ``reach`` = min(k_max, oracle_limit // 2) exactly from one DP sweep,
+    kept as the integer DP array and its denominator, and fast-solver
+    intervals above it.  Intervals are memoized by k for the life of the
+    profile."""
 
-def capacity_interval(
-    domain, k: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT
-) -> tuple:
-    """(lower, upper) bounds on c_k; equal when an exact engine applies."""
-    if isinstance(domain, (Ellipsoid,)):
-        c = exact_capacity(domain, k)
-        return c, c
-    if isinstance(domain, MomentProfile):
-        domain, _ = weight_expansion(domain)
-    if isinstance(domain, WeightMultiset):
-        if 2 * k <= oracle_limit:
-            c = multiset_capacity_oracle(domain, k, oracle_limit=oracle_limit).best
-            return c, c
-        result = multiset_capacity_fast(domain, k)
-        return result.best, result.upper
-    raise TypeError(f"unsupported domain type {type(domain)!r}")
+    def __init__(self, domain, k_max: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT):
+        if k_max < 0:
+            raise ValueError("capacity index must be >= 0")
+        if isinstance(domain, MomentProfile):
+            domain, _ = weight_expansion(domain)
+        if not isinstance(domain, (Ellipsoid, WeightMultiset)):
+            raise TypeError(f"unsupported domain type {type(domain)!r}")
+        self.domain = domain
+        self.reach = 0
+        if isinstance(domain, WeightMultiset):
+            self.reach = min(k_max, oracle_limit // 2)
+            self._dp, self._den = multiset_capacity_table(domain, self.reach, oracle_limit)
+        self._memo = {}
+
+    def interval(self, k: int) -> tuple:
+        if k not in self._memo:
+            if k < 0:
+                raise ValueError("capacity index must be >= 0")
+            domain = self.domain
+            if isinstance(domain, Ellipsoid):
+                if domain.a == domain.b:
+                    c = ball_capacity(domain.a, k)
+                else:
+                    c = ellipsoid_capacity(domain, k)
+                self._memo[k] = (c, c)
+            elif k <= self.reach:
+                c = Fraction(int(self._dp[2 * k]), self._den)
+                self._memo[k] = (c, c)
+            else:
+                result = multiset_capacity_fast(domain, k)
+                self._memo[k] = (result.best, result.upper)
+        return self._memo[k]
 
 
 def domain_volume(domain) -> Scalar:
@@ -504,5 +519,9 @@ def weyl_ratio(domain, k: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> Scal
     """c_k^2 / (4 k vol), an exact rational converging to 1 as k grows."""
     if k <= 0:
         raise ValueError("Weyl ratio is undefined at k = 0")
-    c = exact_capacity(domain, k, oracle_limit=oracle_limit)
-    return c * c / (4 * k * domain_volume(domain))
+    lo, hi = CapacityProfile(domain, k, oracle_limit).interval(k)
+    if lo != hi:
+        raise ResourceLimitError(
+            f"c_{k} is only known as an interval at oracle limit {oracle_limit}"
+        )
+    return lo * lo / (4 * k * domain_volume(domain))

@@ -15,17 +15,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .capacities import (
-    DEFAULT_ORACLE_LIMIT,
-    capacity_interval,
-    exact_capacity,
-    multiset_capacity_fast,
-    multiset_capacity_oracle,
-    multiset_capacity_sweep,
-    weyl_ratio,
-)
-from .distance import certificate, distance_report
-from .domainfile import from_document, load_domain, to_document
+from .capacities import DEFAULT_ORACLE_LIMIT, CapacityProfile, relative_gap, weyl_ratio
+from .distance import DEFAULT_K_CAP, certificate, distance_report
+from .domainfile import load_domain, to_document
 from .errors import EchcapError
 from .experiments import (
     ExperimentConfig,
@@ -73,49 +65,34 @@ def _load_weights(domain) -> WeightMultiset:
     raise EchcapError(f"cannot derive weights from {type(domain).__name__}")
 
 
+def _capacity_domain(path):
+    """A domain file as CapacityProfile takes it: quasi-flat parameter
+    vectors become their weights, every other type is passed through."""
+    domain = load_domain(path)
+    if isinstance(domain, ParameterVector):
+        return build_weights(domain)
+    return domain
+
+
 def cmd_capacity(args) -> int:
     if args.k is None and args.kmax is None:
         raise EchcapError("capacity needs --k or --kmax")
-    domain = load_domain(args.domain)
-    limit = args.oracle_limit
+    k_max = args.k if args.kmax is None else args.kmax
+    profile = CapacityProfile(_capacity_domain(args.domain), k_max, args.oracle_limit)
     if args.kmax is not None:
         rows = []
-        if isinstance(domain, Ellipsoid):
-            values = [exact_capacity(domain, k) for k in range(args.kmax + 1)]
-            rows = [(k, v.numerator, v.denominator, 1, "0") for k, v in enumerate(values)]
-        else:
-            w = _load_weights(domain)
-            if 2 * args.kmax <= limit:
-                values = multiset_capacity_sweep(w, args.kmax, limit)
-                rows = [
-                    (k, v.numerator, v.denominator, 1, "0")
-                    for k, v in enumerate(values)
-                ]
-            else:
-                for k in range(args.kmax + 1):
-                    r = multiset_capacity_fast(w, k)
-                    rows.append(
-                        (
-                            k,
-                            r.best.numerator,
-                            r.best.denominator,
-                            int(r.exact),
-                            format(float(r.gap), ".12g"),
-                        )
-                    )
+        for k in range(args.kmax + 1):
+            lo, hi = profile.interval(k)
+            gap = format(float(relative_gap(lo, hi)), ".12g")
+            rows.append((k, lo.numerator, lo.denominator, int(lo == hi), gap))
         writer = csv.writer(sys.stdout)
         writer.writerow(("k", "c_k_num", "c_k_den", "exact", "gap"))
         writer.writerows(rows)
         return 0
-    k = args.k
-    lo, hi = capacity_interval(
-        _load_weights(domain) if not isinstance(domain, Ellipsoid) else domain,
-        k,
-        oracle_limit=limit,
-    )
+    lo, hi = profile.interval(args.k)
     _emit(
         {
-            "k": k,
+            "k": args.k,
             "value": format_rational(lo),
             "upper": format_rational(hi),
             "exact": lo == hi,
@@ -282,10 +259,9 @@ def cmd_certificate(args) -> int:
 
 
 def cmd_weyl(args) -> int:
-    domain = load_domain(args.domain)
-    if not isinstance(domain, Ellipsoid):
-        domain = _load_weights(domain)
-    ratio = weyl_ratio(domain, args.k, oracle_limit=args.oracle_limit)
+    ratio = weyl_ratio(
+        _capacity_domain(args.domain), args.k, oracle_limit=args.oracle_limit
+    )
     _emit(
         {"k": args.k, "ratio": format_rational(ratio), "ratio_float": float(ratio)},
         args.out,
@@ -295,13 +271,7 @@ def cmd_weyl(args) -> int:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig(
-        out_dir=args.out,
-        oracle_limit=args.oracle_limit,
-        precision=args.precision,
-        threshold=Fraction(args.threshold),
-        seed=args.seed,
-    )
+    cfg = ExperimentConfig(oracle_limit=args.oracle_limit)
     if getattr(args, "params", None):
         cfg.params = tuple(_parse_params(args.params).B)
     if getattr(args, "epsilon", None):
@@ -325,12 +295,10 @@ def _run_experiment(runner, args) -> int:
     return 0 if report.passed else 1
 
 
-def _add_common(parser):
+def _add_common(parser, oracle_limit: bool = True):
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
-    parser.add_argument("--precision", type=int, default=200)
-    parser.add_argument("--threshold", default="64", choices=["8", "64"])
-    parser.add_argument("--seed", type=int, default=0)
+    if oracle_limit:
+        parser.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,24 +318,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weights", help="weight expansion of a domain")
     p.add_argument("--domain", required=True)
-    _add_common(p)
+    _add_common(p, oracle_limit=False)
     p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("realize", help="realize a weight multiset")
     p.add_argument("--domain", required=True)
-    _add_common(p)
+    _add_common(p, oracle_limit=False)
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("build-flat", help="quasi-flat weights from parameters")
     p.add_argument("--params", required=True, help="e.g. 64,4096")
-    _add_common(p)
+    p.add_argument("--threshold", default="64", choices=["8", "64"])
+    _add_common(p, oracle_limit=False)
     p.set_defaults(func=cmd_build_flat)
 
     p = sub.add_parser("chart", help="chart-embed points of R^n")
     p.add_argument("--points", help="CSV of x-points")
     p.add_argument("--x", help="inline point, e.g. 0,1/2")
     p.add_argument("--mode", default="exact", choices=["exact", "approx"])
-    _add_common(p)
+    p.add_argument("--precision", type=int, default=200)
+    _add_common(p, oracle_limit=False)
     p.set_defaults(func=cmd_chart)
 
     p = sub.add_parser("distance", help="distance bounds between two domains")
@@ -379,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certificate", help="quasi-flat certificate on a grid")
     p.add_argument("--grid", default="4,16,64,256,1024", help="B_1 values; B_2 = B_1^2")
-    p.add_argument("--k-cap", type=int, default=10**7)
+    p.add_argument("--k-cap", type=int, default=DEFAULT_K_CAP)
     p.add_argument("--no-inclusion", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_certificate)

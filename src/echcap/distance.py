@@ -9,21 +9,14 @@ upper bounds.  Reports always carry the witnesses that produced each bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .capacities import (
-    DEFAULT_ORACLE_LIMIT,
-    domain_volume,
-    exact_capacity,
-    multiset_capacity_fast,
-    multiset_capacity_table,
-)
+from .capacities import DEFAULT_ORACLE_LIMIT, CapacityProfile, domain_volume
 from .errors import DimensionMismatchError, EchcapError, RealizationLimitError
 from .geometry import Ellipsoid, MomentProfile, inclusion_scale
 from .quasiflat import ParameterVector, build_domain, build_weights, q_metric
-from .weights import WeightMultiset, weight_expansion
 
 DEFAULT_SAMPLES_PER_DECADE = 64
 DEFAULT_K_CAP = 10**7
@@ -41,42 +34,6 @@ def sample_indices(k_max: int, per_decade: int = DEFAULT_SAMPLES_PER_DECADE) -> 
     for j in range(steps + 1):
         ks.add(max(1, round(10 ** (decades * j / steps))))
     return sorted(ks)
-
-
-class CapacityProfile:
-    """(lo, hi) on c_k of one domain, for the k of one computation.
-
-    Ellipsoids use their closed form or lattice count.  Weight multisets,
-    and moment profiles through their weights, take every c_k up to
-    ``reach`` = min(k_max, oracle_limit // 2) exactly from one DP sweep,
-    kept as the integer DP array and its denominator, and fast-solver
-    intervals above it.  Intervals are memoized by k for the life of the
-    profile."""
-
-    def __init__(self, domain, k_max: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT):
-        if isinstance(domain, MomentProfile):
-            domain, _ = weight_expansion(domain)
-        if not isinstance(domain, (Ellipsoid, WeightMultiset)):
-            raise TypeError(f"unsupported domain type {type(domain)!r}")
-        self.domain = domain
-        self.reach = 0
-        if isinstance(domain, WeightMultiset):
-            self.reach = min(max(k_max, 0), oracle_limit // 2)
-            self._dp, self._den = multiset_capacity_table(domain, self.reach, oracle_limit)
-        self._memo = {}
-
-    def interval(self, k: int) -> tuple:
-        if k not in self._memo:
-            if isinstance(self.domain, Ellipsoid):
-                c = exact_capacity(self.domain, k)
-                self._memo[k] = (c, c)
-            elif k <= self.reach:
-                c = Fraction(int(self._dp[2 * k]), self._den)
-                self._memo[k] = (c, c)
-            else:
-                result = multiset_capacity_fast(self.domain, k)
-                self._memo[k] = (result.best, result.upper)
-        return self._memo[k]
 
 
 def capacity_lower_bound(
@@ -182,12 +139,9 @@ def distance_report(
     V,
     K: int,
     parameters: Optional[tuple] = None,
-    per_decade: int = DEFAULT_SAMPLES_PER_DECADE,
     oracle_limit: int = DEFAULT_ORACLE_LIMIT,
 ) -> DistanceReport:
-    lower_cap, witness = capacity_lower_bound(
-        U, V, K, per_decade=per_decade, oracle_limit=oracle_limit
-    )
+    lower_cap, witness = capacity_lower_bound(U, V, K, oracle_limit=oracle_limit)
     lower_vol = volume_lower_bound(U, V)
     inclusion = None
     if isinstance(U, (Ellipsoid, MomentProfile)) and isinstance(

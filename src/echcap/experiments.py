@@ -11,14 +11,15 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
 
 from .capacities import (
     DEFAULT_ORACLE_LIMIT,
+    CapacityProfile,
     ball_capacity,
     multiset_capacity_fast,
     multiset_capacity_oracle,
     multiset_capacity_sweep,
+    relative_gap,
 )
 from .distance import inclusion_distance, sample_indices
 from .errors import EchcapError
@@ -29,11 +30,7 @@ from .weights import WeightMultiset, ellipsoid_weights, realize
 
 @dataclass
 class ExperimentConfig:
-    out_dir: Optional[str] = None
     oracle_limit: int = DEFAULT_ORACLE_LIMIT
-    precision: int = 200
-    threshold: Fraction = Fraction(64)
-    seed: int = 0
     # lemma-cap sweep
     params: tuple = (Fraction(64), Fraction(4096))
     volume_index: int = 1  # M: which parameter carries the volume
@@ -70,27 +67,24 @@ def _float_str(x) -> str:
     return format(float(x), ".12g")
 
 
-def emit_report(report: RunReport, out_dir, formats=("json", "csv")) -> list:
+def emit_report(report: RunReport, out_dir) -> list:
     """Write the structured report and CSV; bitwise-stable for a fixed
     config (wall-clock goes to a sidecar excluded from that contract)."""
     out = Path(out_dir)
     if not out.is_dir():
         raise EchcapError(f"output directory does not exist: {out}")
-    written = []
-    if "json" in formats:
-        doc = {
-            "command": report.command,
-            "inputs": report.inputs,
-            "verdicts": [
-                {"name": n, "passed": ok, "detail": d}
-                for n, ok, d in report.verdicts
-            ],
-            "passed": report.passed,
-        }
-        path = out / f"{report.command}_report.json"
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        written.append(path)
-    if "csv" in formats and report.columns:
+    doc = {
+        "command": report.command,
+        "inputs": report.inputs,
+        "verdicts": [
+            {"name": n, "passed": ok, "detail": d} for n, ok, d in report.verdicts
+        ],
+        "passed": report.passed,
+    }
+    path = out / f"{report.command}_report.json"
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    written = [path]
+    if report.columns:
         path = out / f"{report.command}.csv"
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -124,30 +118,27 @@ def run_lemma_cap_sweep(config: ExperimentConfig) -> RunReport:
             "M": m_index,
             "k_range": [k_lo, k_hi],
             "ratio_window": [str(lo_win), str(hi_win)],
-            "seed": config.seed,
         },
         columns=("k", "c_k_num", "c_k_den", "ratio", "exact", "gap"),
     )
 
     all_in_window = True
+    profile = CapacityProfile(weights, k_hi, config.oracle_limit)
     for k in [k for k in sample_indices(k_hi, config.per_decade) if k >= k_lo]:
-        result = multiset_capacity_fast(weights, k)
-        # r in [lo, hi] iff best^2 >= lo^2 k B_M and upper^2 <= hi^2 k B_M,
-        # compared exactly.
-        in_window = (
-            result.best**2 >= lo_win**2 * k * b_m
-            and result.upper**2 <= hi_win**2 * k * b_m
-        )
+        lo, hi = profile.interval(k)
+        # r in [lo_win, hi_win] iff lo^2 >= lo_win^2 k B_M and
+        # hi^2 <= hi_win^2 k B_M, compared exactly.
+        in_window = lo**2 >= lo_win**2 * k * b_m and hi**2 <= hi_win**2 * k * b_m
         all_in_window = all_in_window and in_window
-        ratio = float(result.best) / math.sqrt(k * float(b_m))
+        ratio = float(lo) / math.sqrt(k * float(b_m))
         report.rows.append(
             (
                 k,
-                result.best.numerator,
-                result.best.denominator,
+                lo.numerator,
+                lo.denominator,
                 _float_str(ratio),
-                int(result.exact),
-                _float_str(result.gap),
+                int(lo == hi),
+                _float_str(relative_gap(lo, hi)),
             )
         )
     report.verdict(
@@ -192,7 +183,6 @@ def run_ched_warmup(config: ExperimentConfig) -> RunReport:
             "volume": str(vol),
             "k0_max": config.k0_max,
             "weyl_constant": str(config.weyl_constant),
-            "seed": config.seed,
         },
         columns=("k0", "c_x_num", "c_x_den", "c_ball_num", "c_ball_den", "weyl_side"),
     )
@@ -252,7 +242,6 @@ def run_notsame(config: ExperimentConfig) -> RunReport:
             "epsilon": str(eps),
             "k_max": config.k_max,
             "sup_slack": config.sup_slack,
-            "seed": config.seed,
         },
         columns=("k", "c_x2_num", "c_x2_den", "c_ball_num", "c_ball_den", "log_ratio"),
     )

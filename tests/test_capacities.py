@@ -5,11 +5,10 @@ from fractions import Fraction
 import pytest
 
 from echcap.capacities import (
+    CapacityProfile,
     ball_capacity,
-    capacity_interval,
     domain_volume,
     ellipsoid_capacity,
-    exact_capacity,
     multiset_capacity_fast,
     multiset_capacity_oracle,
     multiset_capacity_sweep,
@@ -198,20 +197,29 @@ def test_fast_tiny_weights():
 
 
 def test_exact_capacity_dispatch():
-    assert exact_capacity(Ellipsoid.ball(2), 3) == 4
-    assert exact_capacity(Ellipsoid(1, 2), 3) == 2
+    assert CapacityProfile(Ellipsoid.ball(2), 3).interval(3) == (4, 4)
+    assert CapacityProfile(Ellipsoid(1, 2), 3).interval(3) == (2, 2)
     p = MomentProfile([(0, 2), (1, 0)])
-    assert exact_capacity(p, 3) == 2
+    assert CapacityProfile(p, 3).interval(3) == (2, 2)
     wm = WeightMultiset([(1, 2)])
-    assert exact_capacity(wm, 3) == 2
+    assert CapacityProfile(wm, 3).interval(3) == (2, 2)
+    with pytest.raises(ValueError, match="capacity index must be >= 0"):
+        CapacityProfile(wm, -1)
+    with pytest.raises(ValueError, match="capacity index must be >= 0"):
+        CapacityProfile(wm, 3).interval(-1)
 
 
 def test_capacity_interval_dispatch():
     wm = WeightMultiset([(1, 2)])
-    lo, hi = capacity_interval(wm, 10)
+    lo, hi = CapacityProfile(wm, 10).interval(10)
     assert lo == hi == multiset_capacity_oracle(wm, 10).best
-    lo, hi = capacity_interval(wm, 10, oracle_limit=4)
-    assert lo <= hi
+    profile = CapacityProfile(wm, 10, oracle_limit=4)
+    assert profile.reach == 2
+    for k in range(11):
+        lo, hi = profile.interval(k)
+        assert lo <= multiset_capacity_oracle(wm, k).best <= hi
+        if k <= profile.reach:
+            assert lo == hi
 
 
 def test_weyl_ratio_converges():

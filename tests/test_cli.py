@@ -2,17 +2,23 @@ import csv
 import io
 import json
 
+from fractions import Fraction
+
 import pytest
 
-from echcap.cli import main
+from echcap.capacities import multiset_capacity_fast
+from echcap.cli import build_parser, main
 from echcap.domainfile import save_domain
 from echcap.experiments import (
     ExperimentConfig,
     emit_report,
     run_ched_warmup,
+    run_lemma_cap_sweep,
     run_notsame,
 )
-from echcap.geometry import Ellipsoid
+from echcap.geometry import Ellipsoid, MomentProfile
+from echcap.quasiflat import ParameterVector, build_weights
+from echcap.weights import WeightMultiset
 
 
 @pytest.fixture
@@ -29,6 +35,31 @@ def ellipsoid_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def weights_file(tmp_path):
+    path = tmp_path / "weights.json"
+    save_domain(WeightMultiset([(1, 1), (Fraction(2, 3), 2), (Fraction(1, 5), 7)]), path)
+    return str(path)
+
+
+@pytest.fixture
+def quasiflat_file(tmp_path):
+    path = tmp_path / "flat.json"
+    save_domain(ParameterVector([4, 16]), path)
+    return str(path)
+
+
+@pytest.fixture
+def profile_file(tmp_path):
+    path = tmp_path / "profile.json"
+    save_domain(MomentProfile([(0, 2), (1, 0)]), path)  # weights {1, 1}
+    return str(path)
+
+
+def _csv_rows(capsys):
+    return list(csv.reader(io.StringIO(capsys.readouterr().out)))
+
+
 def test_capacity_single_k(ball_file, capsys):
     assert main(["capacity", "--domain", ball_file, "--k", "3"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -40,6 +71,89 @@ def test_capacity_sweep_csv(ellipsoid_file, capsys):
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
     assert rows[0] == ["k", "c_k_num", "c_k_den", "exact", "gap"]
     assert [r[1] for r in rows[1:]] == ["0", "1", "2", "2", "3"]
+
+
+@pytest.mark.parametrize("domain", ["ball_file", "ellipsoid_file", "weights_file"])
+@pytest.mark.parametrize("flag", ["--kmax", "--k"])
+def test_capacity_negative_index(domain, flag, request, capsys):
+    path = request.getfixturevalue(domain)
+    assert main(["capacity", "--domain", path, flag, "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: capacity index must be >= 0\n"
+
+
+def test_capacity_sweep_above_oracle_limit(weights_file, capsys):
+    """Below the sweep's reach (oracle_limit // 2 = 2) every row is exact;
+    above it rows are fast-solver intervals; each row is what --k gives."""
+    args = ["capacity", "--domain", weights_file, "--oracle-limit", "4"]
+    assert main(args + ["--kmax", "6"]) == 0
+    rows = _csv_rows(capsys)[1:]
+    assert [int(r[0]) for r in rows] == list(range(7))
+    for k, num, den, exact, gap in rows:
+        if int(k) <= 2:
+            assert (exact, gap) == ("1", "0")
+        assert main(args + ["--k", k]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        lo, hi = Fraction(doc["value"]), Fraction(doc["upper"])
+        assert (int(num), int(den)) == (lo.numerator, lo.denominator)
+        assert exact == str(int(doc["exact"]))
+        assert float(gap) == pytest.approx(float((hi - lo) / lo) if lo else 0.0)
+
+
+@pytest.mark.parametrize("domain", ["quasiflat_file", "profile_file"])
+def test_capacity_and_weyl_through_weights(domain, request, capsys):
+    path = request.getfixturevalue(domain)
+    assert main(["capacity", "--domain", path, "--kmax", "5"]) == 0
+    rows = _csv_rows(capsys)[1:]
+    values = [Fraction(int(r[1]), int(r[2])) for r in rows]
+    if domain == "profile_file":
+        # two unit balls: c_k = max over k1 + k2 = k of d(k1) + d(k2)
+        assert values == [0, 1, 2, 2, 3, 3]
+    else:
+        # 16 balls of size 1/2 and 4096 of size 1/16: the big ones first
+        assert values == [Fraction(k, 2) for k in range(6)]
+    assert all(r[3] == "1" for r in rows)
+    assert main(["capacity", "--domain", path, "--k", "5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert Fraction(doc["value"]) == values[5] and doc["exact"] is True
+    assert main(["weyl", "--domain", path, "--k", "5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    # areas a^2 / 2: two unit balls, or 16 x 1/8 + 4096 x 1/512
+    volume = 1 if domain == "profile_file" else 10
+    assert Fraction(doc["ratio"]) == values[5] ** 2 / (4 * 5 * volume)
+
+
+def test_weyl_needs_an_exact_capacity(weights_file, capsys):
+    # above the sweep's reach the fast solver leaves c_40 an open interval
+    rc = main(["weyl", "--domain", weights_file, "--k", "40", "--oracle-limit", "4"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: c_40 is only known as an interval")
+
+
+VERB_OPTIONS = {
+    "capacity": {"--domain", "--k", "--kmax", "--out", "--oracle-limit"},
+    "weights": {"--domain", "--out"},
+    "realize": {"--domain", "--out"},
+    "build-flat": {"--params", "--threshold", "--out"},
+    "chart": {"--points", "--x", "--mode", "--precision", "--out"},
+    "distance": {"--domain", "--domain2", "--kmax", "--out", "--oracle-limit"},
+    "certificate": {"--grid", "--k-cap", "--no-inclusion", "--out", "--oracle-limit"},
+    "lemma-cap": {"--params", "--out", "--oracle-limit"},
+    "ched": {"--epsilon", "--volume", "--kmax", "--out", "--oracle-limit"},
+    "notsame": {"--epsilon", "--kmax", "--out", "--oracle-limit"},
+    "weyl": {"--domain", "--k", "--out", "--oracle-limit"},
+}
+
+
+def test_verb_options():
+    """Each verb takes exactly the options it reads."""
+    (sub,) = [a for a in build_parser()._actions if a.choices and a.dest == "command"]
+    found = {
+        verb: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for verb, p in sub.choices.items()
+    }
+    assert found == VERB_OPTIONS
 
 
 def test_capacity_needs_k_or_kmax(ball_file, capsys):
@@ -146,3 +260,18 @@ def test_ched_report_files(tmp_path):
     assert {p.name for p in written} == {"ched_report.json", "ched.csv"}
     doc = json.loads((out / "ched_report.json").read_text())
     assert doc["passed"] is True
+
+
+def test_lemma_cap_exact_below_reach():
+    """Rows the sweep reaches are exact, and inside the fast solver's
+    interval; rows above it are the fast solver's."""
+    cfg = ExperimentConfig()
+    report = run_lemma_cap_sweep(cfg)
+    assert report.passed
+    reach = cfg.oracle_limit // 2
+    below = [row for row in report.rows if row[0] <= reach]
+    assert len(below) == 108 and len(report.rows) > len(below)
+    for k, num, den, _, exact, gap in below:
+        assert (exact, gap) == (1, "0")
+        fast = multiset_capacity_fast(build_weights(ParameterVector(cfg.params)), k)
+        assert fast.best <= Fraction(num, den) <= fast.upper
