@@ -101,12 +101,35 @@ def ball_capacity(a, k: int) -> Scalar:
     return d * a
 
 
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum_{i=0}^{n-1} floor((a*i + b) / m) for n, a, b >= 0 and m >= 1, in
+    O(log m) steps of the Euclidean recursion: reduce a and b modulo m,
+    then count the same lattice points by rows instead of columns, which
+    swaps the roles of m and a."""
+    total = 0
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += n * (b // m)
+            b %= m
+        y_max = a * n + b
+        if y_max < m:
+            return total
+        n, b = divmod(y_max, m)
+        m, a = a, m
+
+
 def ellipsoid_capacity(e: Ellipsoid, k: int, k_limit: int = DEFAULT_ELLIPSOID_LIMIT) -> Scalar:
     """(k+1)-st smallest element, with multiplicity, of {ma + nb : m, n >= 0}.
 
     Binary search on t with the lattice counting function
-    N(t) = sum_{n=0}^{floor(t/b)} (floor((t - nb)/a) + 1); the smallest t
-    with N(t) >= k+1 is itself a lattice value.
+    N(t) = sum_{n=0}^{q} (floor((t - nb)/a) + 1), q = floor(t/b); the
+    smallest t with N(t) >= k+1 is itself a lattice value.  With the axes
+    scaled to integers and the columns taken from n = q down, N(t) is
+    q + 1 plus the floor sum over i = 0..q of floor((i*b + t - q*b)/a), so
+    each step costs O(log) integer operations, not O(t/b).
     """
     if k < 0:
         raise ValueError("capacity index must be >= 0")
@@ -121,10 +144,8 @@ def ellipsoid_capacity(e: Ellipsoid, k: int, k_limit: int = DEFAULT_ELLIPSOID_LI
     bv = int(e.b * lcm)
 
     def count(t: int) -> int:
-        total = 0
-        for n in range(t // bv + 1):
-            total += (t - n * bv) // av + 1
-        return total
+        q = t // bv
+        return q + 1 + _floor_sum(q + 1, av, bv, t - q * bv)
 
     lo, hi = 0, av * k
     while lo < hi:
@@ -152,8 +173,9 @@ class _ScaledClasses:
 def multiset_capacity_oracle(
     w: WeightMultiset, k: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT
 ) -> CapacityResult:
-    """Exact optimum of the weight formulation by dynamic programming over
-    the budget 2k, with the optimizing assignment as witness."""
+    """Exact optimum of the weight formulation by dynamic programming up to
+    the budget 2k (run in half-units, over 0..k), with the optimizing
+    assignment as witness."""
     budget = 2 * k
     if budget > oracle_limit:
         raise ResourceLimitError(
@@ -163,10 +185,10 @@ def multiset_capacity_oracle(
     if k < 0:
         raise ValueError("capacity index must be >= 0")
     classes = _ScaledClasses(w)
-    windows = open_windows(len(classes), budget)
-    plans = tier_plans(classes.scaled, classes.copies, budget, windows)
-    dp, history = tier_dp(plans, budget, keep=True)
-    units = backtrack(classes.scaled, classes.copies, history, windows, budget)
+    windows = open_windows(len(classes), k)
+    plans = tier_plans(classes.scaled, classes.copies, k, windows)
+    dp, history = tier_dp(plans, k, keep=True)
+    units = backtrack(classes.scaled, classes.copies, history, windows, k)
     witness = CandidateAssignment(
         tuple(
             ClassAssignment(wt, n, *divmod(u, n))
@@ -174,7 +196,7 @@ def multiset_capacity_oracle(
         ),
         budget,
     )
-    value = Fraction(int(dp[budget]), classes.denominator)
+    value = Fraction(int(dp[k]), classes.denominator)
     assert witness.value == value and witness.cost <= budget
     return CapacityResult(best=value, upper=value, exact=True, witness=witness)
 
@@ -182,17 +204,18 @@ def multiset_capacity_oracle(
 def multiset_capacity_table(
     w: WeightMultiset, k_max: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT
 ) -> tuple:
-    """One DP sweep over the budget 2*k_max: (dp, denominator) with
-    c_k = dp[2k] / denominator for every k in 0..k_max."""
+    """One DP sweep up to the budget 2*k_max, run in half-units:
+    (dp, denominator) with c_k = dp[k] / denominator for every k in
+    0..k_max."""
     budget = 2 * k_max
     if budget > oracle_limit:
         raise ResourceLimitError(
             f"DP budget {budget} exceeds the oracle limit {oracle_limit}"
         )
     classes = _ScaledClasses(w)
-    windows = open_windows(len(classes), budget)
-    plans = tier_plans(classes.scaled, classes.copies, budget, windows)
-    dp, _ = tier_dp(plans, budget, keep=False)
+    windows = open_windows(len(classes), k_max)
+    plans = tier_plans(classes.scaled, classes.copies, k_max, windows)
+    dp, _ = tier_dp(plans, k_max, keep=False)
     return dp, classes.denominator
 
 
@@ -201,7 +224,7 @@ def multiset_capacity_sweep(
 ) -> list:
     """Exact c_k for every k in 0..k_max from a single DP run."""
     dp, den = multiset_capacity_table(w, k_max, oracle_limit)
-    return [Fraction(v, den) for v in dp[::2].tolist()]
+    return [Fraction(v, den) for v in dp.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -358,17 +381,18 @@ def _polish(classes: _ScaledClasses, sol: "_Solution", budget: int, window: int)
     restricted instance is too large for the policy limits."""
     if budget > _POLISH_BUDGET_LIMIT:
         return None
+    k = budget // 2
     windows = [
         (max(0, d - window), n * (d + window + 1) - 1)
         for n, d in zip(classes.copies, sol.levels)
     ]
-    plans = tier_plans(classes.scaled, classes.copies, budget, windows)
+    plans = tier_plans(classes.scaled, classes.copies, k, windows)
     if budget * sum(len(p[2]) for p in plans if p) > _POLISH_COST_LIMIT:
         return None
-    dp, history = tier_dp(plans, budget, keep=True)
-    if int(dp[budget]) <= sol.scaled_value():
+    dp, history = tier_dp(plans, k, keep=True)
+    if int(dp[k]) <= sol.scaled_value():
         return sol
-    units = backtrack(classes.scaled, classes.copies, history, windows, budget)
+    units = backtrack(classes.scaled, classes.copies, history, windows, k)
     return _Solution(
         classes,
         [u // n for u, n in zip(units, classes.copies)],
@@ -499,7 +523,7 @@ class CapacityProfile:
                     c = ellipsoid_capacity(domain, k)
                 self._memo[k] = (c, c)
             elif k <= self.reach:
-                c = Fraction(int(self._dp[2 * k]), self._den)
+                c = Fraction(int(self._dp[k]), self._den)
                 self._memo[k] = (c, c)
             else:
                 result = multiset_capacity_fast(domain, k)

@@ -223,6 +223,8 @@ def certificate(
     index of the lower-bound argument), capped by policy.  Each domain's
     capacities come from one CapacityProfile, built up to the largest K
     of the pairs it is in."""
+    if k_cap < 0:
+        raise ValueError("capacity index must be >= 0")
     rows = []
     pending = []  # (row index, v, w, metric, weights of v and of w, K)
     for v, w in pairs:

@@ -157,42 +157,57 @@ def scale(region: Region, t) -> Region:
     return MomentProfile([(x * t, y * t) for x, y in region.vertices])
 
 
+def _radials(profile: MomentProfile, directions: Sequence) -> list:
+    """radial(profile, u) for each u of ``directions``, which must be
+    nonzero first-quadrant vectors sorted by decreasing angle (from the
+    y-axis toward the x-axis, as a profile's vertices are).
+
+    The boundary's segments are sorted the same way, so one pointer walks
+    forward over them: it passes segment i once the ray lies clockwise of
+    the segment's far end, and the ray meets the segment it stops at.  The
+    crossing is the line of that segment cut with the ray, in exact
+    arithmetic, so a whole list costs O(V + len(directions)).
+    """
+    pts = profile.vertices
+    last = len(pts) - 2  # index of the final segment
+    i = 0
+    out = []
+    for ux, uy in directions:
+        if uy == 0:
+            out.append(profile.x_extent / ux)
+            continue
+        if ux == 0:
+            out.append(profile.y_extent / uy)
+            continue
+        while i < last and ux * pts[i + 1][1] > uy * pts[i + 1][0]:
+            i += 1
+        (x1, y1), (x2, y2) = pts[i], pts[i + 1]
+        c = (y2 - y1) * x1 - (x2 - x1) * y1
+        out.append(c / ((y2 - y1) * ux - (x2 - x1) * uy))
+    return out
+
+
 def radial(region: Region, direction: Sequence) -> Scalar:
     """Largest t with t * direction inside the region (direction in the
     closed first quadrant, not the origin)."""
-    profile = as_profile(region)
     ux, uy = Fraction(direction[0]), Fraction(direction[1])
     if ux < 0 or uy < 0 or (ux == 0 and uy == 0):
         raise ValueError("direction must be a nonzero first-quadrant vector")
-    if uy == 0:
-        return profile.x_extent / ux
-    if ux == 0:
-        return profile.y_extent / uy
-    for (x1, y1), (x2, y2) in zip(profile.vertices, profile.vertices[1:]):
-        denom = (y2 - y1) * ux - (x2 - x1) * uy
-        if denom == 0:
-            continue  # ray parallel to this segment
-        c = (y2 - y1) * x1 - (x2 - x1) * y1
-        t = c / denom
-        if t <= 0:
-            continue
-        if x1 <= t * ux <= x2:
-            return t
-    raise DegenerateRegionError("ray does not meet the boundary profile")
+    return _radials(as_profile(region), [(ux, uy)])[0]
 
 
 def inclusion_scale(inner: Region, outer: Region) -> Scalar:
     """Minimal T with inner a subset of T * outer.
 
     For piecewise-linear star-shaped regions the supremum of the radial
-    ratio is attained at a vertex direction of one of the two profiles, so
-    it suffices to maximize over the merged vertex-direction set.
+    ratio radial(inner, u) / radial(outer, u) is attained at a vertex
+    direction of one of the two profiles.  At a profile's own vertex its
+    radial is exactly 1, so T is the larger of the inner radials at the
+    outer vertices and the reciprocal of the least outer radial at the
+    inner vertices.  Each list comes from one forward walk over the other
+    profile's segments (``_radials``), since both vertex lists run by
+    decreasing angle.
     """
     p = as_profile(inner)
     q = as_profile(outer)
-    best = Fraction(0)
-    for vx, vy in p.vertices + q.vertices:
-        ratio = radial(p, (vx, vy)) / radial(q, (vx, vy))
-        if ratio > best:
-            best = ratio
-    return best
+    return max(max(_radials(p, q.vertices)), 1 / min(_radials(q, p.vertices)))

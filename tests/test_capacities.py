@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 
 from echcap.capacities import (
     CapacityProfile,
+    _floor_sum,
     ball_capacity,
     domain_volume,
     ellipsoid_capacity,
@@ -20,17 +22,21 @@ from echcap.weights import WeightMultiset, ellipsoid_weights
 
 
 def brute_ellipsoid(a, b, k_max):
-    """Sorted {ma + nb} by direct enumeration."""
+    """The k_max + 1 smallest of {ma + nb : m, n >= 0}, with multiplicity,
+    by listing every lattice value up to a bound and sorting.  The triangle
+    with legs t/a and t/b holds at least t^2 / 2ab lattice points, so
+    t = sqrt(2ab(k_max + 1)) + a suffices."""
     a, b = Fraction(a), Fraction(b)
-    bound = a * (k_max + 1)
-    values = [
-        m * a + n * b
-        for m in range(int(bound / a) + 2)
-        for n in range(int(bound / b) + 2)
-        if m * a + n * b <= bound
-    ]
-    values.sort()
-    return values[: k_max + 1]
+    lcm = math.lcm(a.denominator, b.denominator)
+    av, bv = int(a * lcm), int(b * lcm)
+    bound = math.isqrt(2 * av * bv * (k_max + 1)) + av
+    values = sorted(
+        m * av + n * bv
+        for n in range(bound // bv + 1)
+        for m in range((bound - n * bv) // av + 1)
+    )
+    assert len(values) > k_max
+    return [Fraction(v, lcm) for v in values[: k_max + 1]]
 
 
 def brute_multiset(w, k):
@@ -72,6 +78,45 @@ def test_ellipsoid_against_brute_force():
         expected = brute_ellipsoid(*sorted((Fraction(a), Fraction(b))), 60)
         got = [ellipsoid_capacity(Ellipsoid(a, b), k) for k in range(61)]
         assert got == expected
+
+
+def continued_fraction(quotients):
+    x = Fraction(quotients[-1])
+    for q in reversed(quotients[:-1]):
+        x = q + 1 / x
+    return x
+
+
+def test_floor_sum_against_direct_sum():
+    rng = random.Random(99)
+    cases = [(0, 5, 3, 2), (7, 4, 0, 1), (7, 4, 0, 9), (1, 1, 0, 0), (5, 3, 11, 17)]
+    for _ in range(2000):
+        n = rng.randint(0, 60)
+        m = rng.randint(1, 50)
+        a = rng.choice([0, rng.randint(0, 120), rng.randint(0, 10**6)])
+        b = rng.choice([0, rng.randint(0, m - 1), rng.randint(m, 10**6)])
+        cases.append((n, m, a, b))
+    for n, m, a, b in cases:
+        assert _floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
+def test_ellipsoid_against_sorted_enumeration():
+    rng = random.Random(5)
+    # rational axes whose denominators differ
+    for a, b in [(Fraction(2, 3), Fraction(5, 7)), (Fraction(3, 4), Fraction(11, 6)),
+                 (Fraction(1, 9), Fraction(13, 10)), (Fraction(7, 5), Fraction(7, 2))]:
+        expected = brute_ellipsoid(a, b, 3000)
+        ks = list(range(200)) + [rng.randint(200, 3000) for _ in range(200)] + [3000]
+        for k in ks:
+            assert ellipsoid_capacity(Ellipsoid(a, b), k) == expected[k]
+    # 17 weight classes, b/a = [2; q_1, ..., q_16], near k = 10^5
+    ratio = continued_fraction([2, 1, 3, 1, 2, 1, 1, 2, 3, 1, 1, 2, 1, 1, 2, 1, 2])
+    e = Ellipsoid(ratio.denominator, ratio.numerator)
+    assert len(ellipsoid_weights(e)) == 17
+    k_top = 10**5 + 37
+    expected = brute_ellipsoid(e.a, e.b, k_top)
+    for k in [0, 1, 2, 3, k_top] + [rng.randint(k_top - 3000, k_top) for _ in range(60)]:
+        assert ellipsoid_capacity(e, k, k_limit=k_top) == expected[k]
 
 
 def test_ellipsoid_k_limit():

@@ -1,8 +1,12 @@
 import csv
 import io
 import json
-
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +103,47 @@ def test_capacity_sweep_above_oracle_limit(weights_file, capsys):
         assert (int(num), int(den)) == (lo.numerator, lo.denominator)
         assert exact == str(int(doc["exact"]))
         assert float(gap) == pytest.approx(float((hi - lo) / lo) if lo else 0.0)
+
+
+def test_capacity_sweep_ellipsoid_matches_enumeration(tmp_path, capsys):
+    """Every row of a --kmax sweep on E(3/4, 5/3) is the (k+1)-st smallest
+    of {3m/4 + 5n/3}, listed and sorted directly."""
+    path = tmp_path / "ell.json"
+    save_domain(Ellipsoid(Fraction(3, 4), Fraction(5, 3)), path)
+    assert main(["capacity", "--domain", str(path), "--kmax", "2000"]) == 0
+    rows = _csv_rows(capsys)[1:]
+    # in twelfths: 3/4 = 9/12 and 5/3 = 20/12
+    bound = math.isqrt(2 * 9 * 20 * 2001) + 9
+    values = sorted(9 * m + 20 * n for n in range(bound // 20 + 1) for m in range((bound - 20 * n) // 9 + 1))
+    assert len(values) >= 2001
+    assert [int(r[0]) for r in rows] == list(range(2001))
+    for (k, num, den, exact, gap), v in zip(rows, values):
+        assert Fraction(int(num), int(den)) == Fraction(v, 12)
+        assert (exact, gap) == ("1", "0")
+
+
+def test_certificate_negative_k_cap(capsys):
+    assert main(["certificate", "--grid", "4,16", "--k-cap", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: capacity index must be >= 0\n"
+
+
+def test_python_m_echcap(ball_file):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "echcap", "capacity", "--domain", ball_file, "--k", "3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"k": 3, "value": "2/1", "upper": "2/1", "exact": True}
+    bad = subprocess.run(
+        [sys.executable, "-m", "echcap", "capacity", "--domain", ball_file, "--k", "-1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert bad.returncode == 2
+    assert bad.stderr == "error: capacity index must be >= 0\n"
 
 
 @pytest.mark.parametrize("domain", ["quasiflat_file", "profile_file"])

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from echcap.geometry import (
     radial,
     scale,
 )
+from echcap.weights import WeightMultiset, realize
 
 positive = st.fractions(min_value=Fraction(1, 20), max_value=20)
 
@@ -125,3 +127,50 @@ def test_as_profile():
     assert as_profile(e).vertices == ((0, 2), (1, 0))
     p = MomentProfile([(0, 1), (1, 0)])
     assert as_profile(p) is p
+
+
+def reference_radial(profile, u):
+    """radial by searching every segment for the one the ray crosses."""
+    ux, uy = Fraction(u[0]), Fraction(u[1])
+    if uy == 0:
+        return profile.x_extent / ux
+    if ux == 0:
+        return profile.y_extent / uy
+    for (x1, y1), (x2, y2) in zip(profile.vertices, profile.vertices[1:]):
+        denom = (y2 - y1) * ux - (x2 - x1) * uy
+        if denom == 0:
+            continue
+        t = ((y2 - y1) * x1 - (x2 - x1) * y1) / denom
+        if t > 0 and x1 <= t * ux <= x2:
+            return t
+    raise AssertionError("ray misses the profile")
+
+
+def reference_inclusion_scale(inner, outer):
+    """The largest radial ratio over the vertex directions of both
+    profiles, each radial found by a search over every segment."""
+    p, q = as_profile(inner), as_profile(outer)
+    return max(reference_radial(p, v) / reference_radial(q, v) for v in p.vertices + q.vertices)
+
+
+def test_inclusion_scale_matches_quadratic_search():
+    rng = random.Random(11)
+
+    def region():
+        if rng.random() < 0.3:
+            return Ellipsoid(Fraction(rng.randint(1, 30), rng.randint(1, 9)),
+                             Fraction(rng.randint(1, 30), rng.randint(1, 9)))
+        sizes = {Fraction(rng.randint(1, 40), rng.randint(1, 40)) for _ in range(rng.randint(1, 10))}
+        return realize(WeightMultiset((s, rng.randint(1, 4)) for s in sizes))
+
+    for _ in range(150):
+        p, q = region(), region()
+        t = Fraction(rng.randint(1, 40), rng.randint(1, 40))
+        for inner, outer, expected in [
+            (p, q, None), (q, p, None), (p, p, 1), (scale(p, t), p, t), (p, scale(p, t), 1 / t),
+        ]:
+            got = inclusion_scale(inner, outer)
+            assert got == reference_inclusion_scale(inner, outer)
+            assert expected is None or got == expected
+        for v in as_profile(q).vertices:
+            assert radial(p, v) == reference_radial(as_profile(p), v)

@@ -54,9 +54,9 @@ def random_classes(rng, max_copies=3, max_total=5):
     return _ScaledClasses(WeightMultiset(entries.items()))
 
 
-def plans_for(classes, budget):
-    windows = open_windows(len(classes), budget)
-    return tier_plans(classes.scaled, classes.copies, budget, windows)
+def plans_for(classes, k):
+    windows = open_windows(len(classes), k)
+    return tier_plans(classes.scaled, classes.copies, k, windows)
 
 
 # one DP pass without the per-class history, and one that keeps it
@@ -65,30 +65,31 @@ def test_kernel_against_reference(keep):
     rng = random.Random(2024)
     for _ in range(40):
         classes = random_classes(rng)
-        budget = rng.randint(0, 40)
-        dp, history = tier_dp(plans_for(classes, budget), budget, keep=keep)
-        assert [int(x) for x in dp] == brute_per_copy(
-            classes.scaled, classes.copies, budget
-        )
+        h = rng.randint(0, 20)  # the half budget: the full budget is 2h
+        brute = brute_per_copy(classes.scaled, classes.copies, 2 * h + 1)
+        # every cost d^2 + d is even, which is what the halving rests on
+        assert all(brute[2 * b + 1] == brute[2 * b] for b in range(h + 1))
+        dp, history = tier_dp(plans_for(classes, h), h, keep=keep)
+        assert [int(x) for x in dp] == brute[: 2 * h + 1 : 2]
         if keep:
             # history[i] is the dp over the first i classes
             assert len(history) == len(classes) + 1
             for i, before in enumerate(history):
                 assert [int(x) for x in before] == brute_per_copy(
-                    classes.scaled[:i], classes.copies[:i], budget
-                )
+                    classes.scaled[:i], classes.copies[:i], 2 * h
+                )[::2]
 
 
 def test_witness_reproduces_value_in_normal_form():
     rng = random.Random(31337)
     for _ in range(60):
         classes = random_classes(rng, max_copies=40, max_total=60)
-        budget = rng.randint(0, 400)
-        windows = open_windows(len(classes), budget)
-        dp, history = tier_dp(plans_for(classes, budget), budget, keep=True)
-        units = backtrack(classes.scaled, classes.copies, history, windows, budget)
-        assert sum(u * s for u, s in zip(units, classes.scaled)) == dp[budget]
-        assert sum(normal_cost(n, u) for u, n in zip(units, classes.copies)) <= budget
+        h = rng.randint(0, 200)
+        windows = open_windows(len(classes), h)
+        dp, history = tier_dp(plans_for(classes, h), h, keep=True)
+        units = backtrack(classes.scaled, classes.copies, history, windows, h)
+        assert sum(u * s for u, s in zip(units, classes.scaled)) == dp[h]
+        assert sum(normal_cost(n, u) for u, n in zip(units, classes.copies)) <= 2 * h
     wm = WeightMultiset([(Fraction(7, 3), 5), (Fraction(1, 4), 30)])
     result = multiset_capacity_oracle(wm, 150)
     for c in result.witness.classes:
@@ -101,14 +102,14 @@ def test_object_dtype_for_large_values():
     big = 2**70
     wm = WeightMultiset([(Fraction(3, 2), 2), (Fraction(1, 3), 4)])
     classes = _ScaledClasses(wm.scaled(big))
-    budget = 60
-    dp, _ = tier_dp(plans_for(classes, budget), budget, keep=False)
+    k_max = 30
+    dp, _ = tier_dp(plans_for(classes, k_max), k_max, keep=False)
     assert dp.dtype == object
     assert max(dp) >= 2**62
     for k in (1, 7, 30):
         small = multiset_capacity_oracle(wm, k)
         large = multiset_capacity_oracle(wm.scaled(big), k)
-        assert large.best == big * small.best == Fraction(int(dp[2 * k]), classes.denominator)
+        assert large.best == big * small.best == Fraction(int(dp[k]), classes.denominator)
         assert large.witness.value == large.best
 
 
