@@ -1,6 +1,7 @@
 """Capacity engines: ball closed form, ellipsoid lattice counting, and the
-weight-multiset optimizer (exact budget DP plus a relaxation-certified fast
-solver).
+weight-multiset optimizer: an exact budget DP (the oracle and the sweep),
+and above the sweep's reach an exact engine that runs the same DP over the
+few units per class that the tier LP leaves open.
 
 The weight formulation: a multiset with n_i copies of weight a_i has
 
@@ -14,19 +15,19 @@ promoted count r: cost n(d^2+d) + 2r(d+1), value (nd+r)a.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from ._kernels import backtrack, open_windows, tier_dp, tier_plans
+from ._kernels import _max_units, backtrack, half_cost, tier_dp, tier_plans
 from .errors import ResourceLimitError
 from .geometry import Ellipsoid, MomentProfile, area
 from .scalars import Scalar
 from .weights import WeightMultiset, weight_expansion
 
 DEFAULT_ORACLE_LIMIT = 4 * 10**5  # on the DP budget 2k
-DEFAULT_ELLIPSOID_LIMIT = 10**6  # on the capacity index k
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,7 @@ def _floor_sum(n: int, m: int, a: int, b: int) -> int:
         m, a = a, m
 
 
-def ellipsoid_capacity(e: Ellipsoid, k: int, k_limit: int = DEFAULT_ELLIPSOID_LIMIT) -> Scalar:
+def ellipsoid_capacity(e: Ellipsoid, k: int, k_limit: Optional[int] = None) -> Scalar:
     """(k+1)-st smallest element, with multiplicity, of {ma + nb : m, n >= 0}.
 
     Binary search on t with the lattice counting function
@@ -133,7 +134,7 @@ def ellipsoid_capacity(e: Ellipsoid, k: int, k_limit: int = DEFAULT_ELLIPSOID_LI
     """
     if k < 0:
         raise ValueError("capacity index must be >= 0")
-    if k > k_limit:
+    if k_limit is not None and k > k_limit:
         raise ResourceLimitError(
             f"k={k} above the configured ellipsoid counting range {k_limit}"
         )
@@ -170,6 +171,21 @@ class _ScaledClasses:
         return len(self.weights)
 
 
+def _witness_result(classes: _ScaledClasses, best: int, upper: int, units, k: int) -> CapacityResult:
+    """[best, upper] / denominator on c_k, with ``units`` per class in
+    normal form as the witness of ``best``."""
+    witness = CandidateAssignment(
+        tuple(
+            ClassAssignment(wt, n, *divmod(u, n))
+            for wt, n, u in zip(classes.weights, classes.copies, units)
+        ),
+        2 * k,
+    )
+    lo = Fraction(best, classes.denominator)
+    assert witness.value == lo and witness.cost <= 2 * k
+    return CapacityResult(lo, Fraction(upper, classes.denominator), best == upper, witness)
+
+
 def multiset_capacity_oracle(
     w: WeightMultiset, k: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT
 ) -> CapacityResult:
@@ -185,20 +201,11 @@ def multiset_capacity_oracle(
     if k < 0:
         raise ValueError("capacity index must be >= 0")
     classes = _ScaledClasses(w)
-    windows = open_windows(len(classes), k)
+    windows = [(0, k)] * len(classes)
     plans = tier_plans(classes.scaled, classes.copies, k, windows)
     dp, history = tier_dp(plans, k, keep=True)
     units = backtrack(classes.scaled, classes.copies, history, windows, k)
-    witness = CandidateAssignment(
-        tuple(
-            ClassAssignment(wt, n, *divmod(u, n))
-            for wt, n, u in zip(classes.weights, classes.copies, units)
-        ),
-        budget,
-    )
-    value = Fraction(int(dp[k]), classes.denominator)
-    assert witness.value == value and witness.cost <= budget
-    return CapacityResult(best=value, upper=value, exact=True, witness=witness)
+    return _witness_result(classes, int(dp[k]), int(dp[k]), units, k)
 
 
 def multiset_capacity_table(
@@ -213,7 +220,7 @@ def multiset_capacity_table(
             f"DP budget {budget} exceeds the oracle limit {oracle_limit}"
         )
     classes = _ScaledClasses(w)
-    windows = open_windows(len(classes), k_max)
+    windows = [(0, k_max)] * len(classes)
     plans = tier_plans(classes.scaled, classes.copies, k_max, windows)
     dp, _ = tier_dp(plans, k_max, keep=False)
     return dp, classes.denominator
@@ -228,257 +235,180 @@ def multiset_capacity_sweep(
 
 
 # ---------------------------------------------------------------------------
-# Fast solver: continuous-relaxation seed + greedy + local exchange, with a
-# Lagrangian-dual upper bound.  Never touches the DP oracle.
+# Exact engine above the sweep's reach: the tier LP, reduced-cost windows,
+# a proximity cap, and one DP over the windows.
 # ---------------------------------------------------------------------------
 
-
-class _Solution:
-    """Mutable normal-form assignment used by the fast solver."""
-
-    __slots__ = ("classes", "levels", "promoted", "cost")
-
-    def __init__(self, classes: _ScaledClasses, levels=None, promoted=None):
-        self.classes = classes
-        self.levels = list(levels) if levels else [0] * len(classes)
-        self.promoted = list(promoted) if promoted else [0] * len(classes)
-        self.cost = sum(
-            n * (d * d + d) + 2 * r * (d + 1)
-            for n, d, r in zip(classes.copies, self.levels, self.promoted)
-        )
-
-    def clone(self) -> "_Solution":
-        return _Solution(self.classes, self.levels, self.promoted)
-
-    def scaled_value(self) -> int:
-        return sum(
-            (n * d + r) * s
-            for n, d, r, s in zip(
-                self.classes.copies, self.levels, self.promoted, self.classes.scaled
-            )
-        )
-
-    def promote_cost(self, i: int) -> int:
-        return 2 * (self.levels[i] + 1)
-
-    def promote(self, i: int, count: int = 1):
-        n = self.classes.copies[i]
-        while count > 0:
-            room = n - self.promoted[i]
-            step = min(count, room)
-            self.cost += step * 2 * (self.levels[i] + 1)
-            self.promoted[i] += step
-            count -= step
-            if self.promoted[i] == n:
-                self.promoted[i] = 0
-                self.levels[i] += 1
-
-    def demote(self, i: int, count: int = 1) -> bool:
-        n = self.classes.copies[i]
-        while count > 0:
-            if self.promoted[i] > 0:
-                step = min(count, self.promoted[i])
-                self.cost -= step * 2 * (self.levels[i] + 1)
-                self.promoted[i] -= step
-                count -= step
-            elif self.levels[i] > 0:
-                self.levels[i] -= 1
-                self.promoted[i] = n - 1
-                self.cost -= 2 * (self.levels[i] + 1)
-                count -= 1
-            else:
-                return False
-        return True
-
-    def greedy_fill(self, budget: int, forbid: int = -1):
-        """Spend residual budget on the promotion with the best marginal
-        gain per unit cost, in bulk per level tier.  ``forbid`` excludes one
-        class so that exchange moves cannot undo their own demotion."""
-        while True:
-            best_i = -1
-            best_num = best_den = 0
-            for i, s in enumerate(self.classes.scaled):
-                if i == forbid:
-                    continue
-                c = self.promote_cost(i)
-                if c > budget - self.cost:
-                    continue
-                # compare s/c > best_num/best_den
-                if best_i < 0 or s * best_den > best_num * c:
-                    best_i, best_num, best_den = i, s, c
-            if best_i < 0:
-                return
-            c = self.promote_cost(best_i)
-            room = self.classes.copies[best_i] - self.promoted[best_i]
-            bulk = min(room, (budget - self.cost) // c)
-            self.promote(best_i, max(bulk, 1))
-
-    def assignment(self, budget: int) -> CandidateAssignment:
-        return CandidateAssignment(
-            tuple(
-                ClassAssignment(wt, n, d, r)
-                for wt, n, d, r in zip(
-                    self.classes.weights,
-                    self.classes.copies,
-                    self.levels,
-                    self.promoted,
-                )
-            ),
-            budget,
-        )
+# DP cells (budget x items) of the window DP; its history holds at most 16
+# bytes per cell, so 160 MB
+_CELL_LIMIT = 10**7
 
 
-def _relaxation_mu(classes: _ScaledClasses, k: int) -> float:
-    """Float multiplier mu, in units of the largest weight, with
-    sum n_i (d^2 + d) ~ 2k at d_i = max(a_i/mu - 1/2, 0).  Capacities scale
-    linearly, so dividing by the largest weight first loses nothing and
-    keeps weights below the float range from underflowing to zero."""
-    top = max(classes.weights)
-    a = [float(wt / top) for wt in classes.weights]
-    n = classes.copies
+def _breakpoint(scaled, copies, k: int) -> Fraction:
+    """The breakpoint rho* = s_i / j of the tier LP at half budget k: the
+    largest tier ratio whose tiers, with every tier of a larger ratio, cost
+    more than k.
 
-    def spent(mu: float) -> float:
-        total = 0.0
-        for ai, ni in zip(a, n):
-            d = ai / mu - 0.5
-            if d > 0:
-                total += ni * (d * d + d)
+    The tiers of class i with ratio >= s_0 / J are its first s_i J // s_0,
+    so their cost is a closed form in the level J of the largest class.
+    Bisect the smallest J whose cost is over k: rho* lies in
+    [s_0/J, s_0/(J-1)), which holds at most one tier per class, and a walk
+    down those tiers finds it.
+    """
+    top = scaled[0]
+
+    def spent(level: int) -> int:
+        total = 0
+        for s, n in zip(scaled, copies):
+            t = s * level // top
+            total += n * (t * t + t) // 2
         return total
 
-    hi = 2.0 * max(a)  # all d_i = 0
-    lo = hi
-    while spent(lo) < 2 * k:
-        lo /= 2.0
-        if lo < 1e-300:
-            break
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if spent(mid) > 2 * k:
-            lo = mid
-        else:
+    lo, hi = 1, math.isqrt(2 * k // copies[0]) + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if spent(mid) > k:
             hi = mid
-    return (lo + hi) / 2
+        else:
+            lo = mid + 1
+    cost = {}
+    for s, n in zip(scaled, copies):
+        j = s * lo // top
+        if j >= 1 and j * top > s * (lo - 1):
+            ratio = Fraction(s, j)
+            cost[ratio] = cost.get(ratio, 0) + n * j
+    total = spent(lo - 1)
+    for ratio in sorted(cost, reverse=True):
+        total += cost[ratio]
+        if total > k:
+            break
+    return ratio
 
 
-def _dual_bound(classes: _ScaledClasses, k: int, mu: Fraction) -> Fraction:
-    """Lagrangian dual value: mu*k + sum n_i max_d (d a_i - mu(d^2+d)/2),
-    a valid upper bound for every mu > 0."""
-    total = mu * k
-    for wt, n in zip(classes.weights, classes.copies):
-        if wt > mu / 2:
-            total += n * (wt - mu / 2) ** 2 / (2 * mu)
-    return total
+def _greedy(scaled, copies, units: list, room: int) -> list:
+    """Spend ``room`` half-units on top of whole tiers, tier by tier in
+    falling ratio s_i / j, taking as many units of each as fit."""
+    heap = [(-Fraction(s, u // n + 1), i) for i, (s, n, u) in enumerate(zip(scaled, copies, units))]
+    heapq.heapify(heap)
+    while heap and room:
+        _, i = heapq.heappop(heap)
+        n = copies[i]
+        j = units[i] // n + 1
+        take = min(n, room // j)
+        units[i] += take
+        room -= take * j
+        if take == n:
+            heapq.heappush(heap, (-Fraction(scaled[i], j + 1), i))
+    return units
 
 
-_POLISH_BUDGET_LIMIT = 4 * 10**5
-_POLISH_COST_LIMIT = 4 * 10**8  # budget * DP items
+def _window(s: int, n: int, above: int, rho: Fraction, slack: int, near: tuple, k: int) -> tuple:
+    """Units [L, H] of one class that an assignment worth at least the
+    incumbent + 1 can hold in normal form, intersected with the proximity
+    range ``near`` around the LP's units and with the budget k.
 
-
-def _polish(classes: _ScaledClasses, sol: "_Solution", budget: int, window: int):
-    """Trust-region DP around the incumbent: each class either empty or at
-    levels within ``window`` of the incumbent's, promotions free within
-    budget.  Returns an improved solution, the incumbent, or None when the
-    restricted instance is too large for the policy limits."""
-    if budget > _POLISH_BUDGET_LIMIT:
-        return None
-    k = budget // 2
-    windows = [
-        (max(0, d - window), n * (d + window + 1) - 1)
-        for n, d in zip(classes.copies, sol.levels)
-    ]
-    plans = tier_plans(classes.scaled, classes.copies, k, windows)
-    if budget * sum(len(p[2]) for p in plans if p) > _POLISH_COST_LIMIT:
-        return None
-    dp, history = tier_dp(plans, k, keep=True)
-    if int(dp[k]) <= sol.scaled_value():
-        return sol
-    units = backtrack(classes.scaled, classes.copies, history, windows, k)
-    return _Solution(
-        classes,
-        [u // n for u, n in zip(units, classes.copies)],
-        [u % n for u, n in zip(units, classes.copies)],
-    )
-
-
-_EXCHANGE_WINDOW = 3  # units one exchange move demotes, at most
-_MAX_ROUNDS = 100  # exchange rounds
-_POLISH_WINDOW = 4  # levels the trust region spans around the incumbent
+    In units of 1/Q, with rho* = P/Q, a unit of tier j has reduced profit
+    s Q - P j.  Against Q V_LP, an assignment pays |s Q - P j| for each
+    unit it drops from the ``above`` tiers the LP takes whole, and for each
+    unit it adds past them; units of a tier at rho* itself are free.  No
+    class can pay more than ``slack``.
+    """
+    P, Q = rho.numerator, rho.denominator
+    lo, pay, j = n * above, slack, above
+    while lo > near[0] and j >= 1:
+        cost = s * Q - P * j
+        m = min(n, pay // cost)
+        lo, pay = lo - m, pay - m * cost
+        if m < n:
+            break
+        j -= 1
+    j = above + (s * Q == P * (above + 1))
+    hi, pay, cap = n * j, slack, min(near[1], _max_units(n, k))
+    while hi < cap:
+        j += 1
+        cost = P * j - s * Q
+        m = min(n, pay // cost)
+        hi, pay = hi + m, pay - m * cost
+        if m < n:
+            break
+    return max(lo, near[0]), min(hi, cap)
 
 
 def multiset_capacity_fast(w: WeightMultiset, k: int) -> CapacityResult:
-    """Interval-certified capacity: incumbent from relaxation seeding,
-    greedy budget fill and bounded exchange search; upper bound from the
-    Lagrangian dual of the continuous relaxation."""
-    if len(w) > 64:
-        raise ResourceLimitError("fast solver supports at most 64 weight classes")
+    """Exact c_k at any k, with a witness, from the tier LP and one DP over
+    the few units per class that the LP leaves open.
+
+    The columns are the DP's tiers: class i, tier j, n_i units of cost j
+    half-units, each worth s_i.  With one budget row, the LP over them is
+    greedy by s_i / j.  The steps, all in integers and Fractions:
+
+    - The LP breakpoint rho* (``_breakpoint``) and value V_LP, an upper
+      bound on c_k.
+    - The incumbent: every tier of ratio above rho*, then the rest of the
+      budget greedily in ratio order.  Scaled values are integers, so it
+      is exact when G = V_LP - incumbent < 1.
+    - Reduced-cost fixing (Kellerer, Pferschy and Pisinger, *Knapsack
+      Problems*, 2004): an assignment worth incumbent + 1 or more pays
+      its reduced costs out of G - 1, so a tier whose unit reduced profit
+      is over G - 1 keeps its LP value, and each class keeps to the window
+      of ``_window``.
+    - Proximity (Eisenbrand and Weismantel, SODA 2018 / *ACM TALG* 2020):
+      an integer program with one row and largest coefficient Delta has an
+      optimum within l1 distance 2 Delta + 1 of an optimal LP vertex.  The
+      bounded-variable form holds too: the Steinitz cycles the proof moves
+      along are conformal to the difference of the two points, so they
+      keep box bounds.  Over the tiers that fixing leaves free, with Delta
+      their largest cost and one more unit for the LP's fractional tier,
+      each class's units stay within 2 Delta + 2 of the LP's.  So some
+      optimum lies in the windows, and so does its normal form, which has
+      the same units per class and costs no more.
+    - One ``tier_dp`` over the windows, on the budget their bases leave,
+      and ``backtrack`` for the witness.
+    - When that DP's cells exceed ``_CELL_LIMIT``: the interval
+      [incumbent, floor(V_LP)], sound but not exact.
+    """
     if k < 0:
         raise ValueError("capacity index must be >= 0")
-    if k == 0:
-        return CapacityResult(Fraction(0), Fraction(0), True, None)
-    budget = 2 * k
     classes = _ScaledClasses(w)
+    if not classes:
+        return _witness_result(classes, 0, 0, [], k)
+    scaled, copies = classes.scaled, classes.copies
+    rho = _breakpoint(scaled, copies, k)
+    P, Q = rho.numerator, rho.denominator
+    # The LP takes the tiers of ratio above rho* whole and spends the rest
+    # of the budget at rho*: lp = Q V_LP, an integer.
+    above = [(s * Q - 1) // P for s in scaled]
+    room = k - sum(n * (t * t + t) // 2 for n, t in zip(copies, above))
+    lp = Q * sum(s * n * t for s, n, t in zip(scaled, copies, above)) + P * room
+    units = _greedy(scaled, copies, [n * t for n, t in zip(copies, above)], room)
+    best = sum(s * u for s, u in zip(scaled, units))
+    slack = lp - Q * (best + 1)  # Q (G - 1)
+    if slack < 0:
+        return _witness_result(classes, best, best, units, k)
 
-    top = max(classes.weights)
-    mu_f = _relaxation_mu(classes, k)
-    sol = _Solution(classes)
-    for i, wt in enumerate(classes.weights):
-        d = int(float(wt / top) / mu_f - 0.5)
-        if d > 0:
-            # floor of the continuous level keeps the seed under budget
-            sol.levels[i] = d
-    sol = _Solution(classes, sol.levels, sol.promoted)
-    while sol.cost > budget:  # float roundoff guard
-        worst = max(range(len(classes)), key=lambda i: sol.levels[i])
-        sol.demote(worst)
-    sol.greedy_fill(budget)
-
-    for _ in range(_MAX_ROUNDS):
-        improved = False
-        base_value = sol.scaled_value()
-        for j in range(len(classes)):
-            for delta in range(1, _EXCHANGE_WINDOW + 1):
-                trial = sol.clone()
-                if not trial.demote(j, delta):
-                    break
-                trial.greedy_fill(budget, forbid=j)
-                trial.greedy_fill(budget)
-                if trial.scaled_value() > base_value:
-                    sol = trial
-                    base_value = trial.scaled_value()
-                    improved = True
-        if not improved:
-            break
-
-    # Re-center the trust region after each improvement so the polish can
-    # walk further than one window from the incumbent.
-    for _ in range(8):
-        polished = _polish(classes, sol, budget, _POLISH_WINDOW)
-        if polished is None or polished.scaled_value() <= sol.scaled_value():
-            break
-        sol = polished
-
-    best = Fraction(sol.scaled_value(), classes.denominator)
-
-    # Dual candidates: the float minimizer plus the kink multipliers of the
-    # incumbent's levels, where the dual often matches the optimum exactly.
-    candidates = []
-    if mu_f > 0 and math.isfinite(mu_f):
-        candidates.append(Fraction(mu_f).limit_denominator(10**12) * top)
-    for i, wt in enumerate(classes.weights):
-        d = sol.levels[i]
-        for shift in (-1, 0, 1):
-            den = Fraction(2 * (d + shift) + 1, 2)
-            if den > 0:
-                candidates.append(wt / den)
-    upper = min(_dual_bound(classes, k, mu) for mu in candidates if mu > 0)
-    if upper < best:  # weak duality guarantees this never triggers
-        upper = best
-    return CapacityResult(
-        best=best,
-        upper=upper,
-        exact=(best == upper),
-        witness=sol.assignment(budget),
-    )
+    reach = 2 * max((slack + s * Q) // P for s in scaled) + 2  # 2 Delta + 2
+    windows = []
+    for s, n, t in zip(scaled, copies, above):
+        lp_units = n * t
+        if s * Q == P * (t + 1):  # the LP fills the tiers at rho* in turn
+            spend = min(n * (t + 1), room)
+            room -= spend
+            lp_units += spend // (t + 1)
+        windows.append(_window(s, n, t, rho, slack, (lp_units - reach, lp_units + reach), k))
+    base = sum(half_cost(n, lo) for n, (lo, _) in zip(copies, windows))
+    span = sum(half_cost(n, hi) - half_cost(n, lo) for n, (lo, hi) in zip(copies, windows))
+    budget = min(k - base, span)
+    if budget < 0:  # no window assignment fits: the incumbent is optimal
+        return _witness_result(classes, best, best, units, k)
+    plans = tier_plans(scaled, copies, budget, windows) if budget < _CELL_LIMIT else None
+    if plans is None or (budget + 1) * sum(map(len, plans)) > _CELL_LIMIT:
+        return _witness_result(classes, best, lp // Q, units, k)
+    dp, history = tier_dp(plans, budget, keep=True)
+    value = sum(s * lo for s, (lo, _) in zip(scaled, windows)) + int(dp[budget])
+    if value > best:
+        best = value
+        units = backtrack(scaled, copies, history, windows, budget)
+    return _witness_result(classes, best, best, units, k)
 
 
 # ---------------------------------------------------------------------------
@@ -490,12 +420,13 @@ class CapacityProfile:
     """(lo, hi) on c_k of one domain, for the k of one computation; the
     only place that decides which engine answers c_k.
 
-    Balls use their closed form and ellipsoids their lattice count.  Weight
-    multisets, and moment profiles through their weights, take every c_k up
-    to ``reach`` = min(k_max, oracle_limit // 2) exactly from one DP sweep,
-    kept as the integer DP array and its denominator, and fast-solver
-    intervals above it.  Intervals are memoized by k for the life of the
-    profile."""
+    Balls use their closed form and ellipsoids their lattice count, at any
+    k.  Weight multisets, and moment profiles through their weights, take
+    every c_k up to ``reach`` = min(k_max, oracle_limit // 2) exactly from
+    one DP sweep, kept as the integer DP array and its denominator, and c_k
+    above it from ``multiset_capacity_fast``: exact, or an interval when
+    its window DP is over the cell limit.  Intervals are memoized by k for
+    the life of the profile."""
 
     def __init__(self, domain, k_max: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT):
         if k_max < 0:

@@ -28,22 +28,27 @@ from .quasiflat import ParameterVector, build_weights
 from .weights import WeightMultiset, ellipsoid_weights, realize
 
 
+# lemma-cap sweep
+VOLUME_INDEX = 1  # M: which parameter carries the volume
+SAMPLES_PER_DECADE = 64
+RATIO_WINDOW = (Fraction(1, 4), Fraction(4))
+# warm-up
+WEYL_CONSTANT = Fraction(10)
+# inclusion-vs-embedding
+SUP_SLACK = 0.01
+
+
 @dataclass
 class ExperimentConfig:
     oracle_limit: int = DEFAULT_ORACLE_LIMIT
     # lemma-cap sweep
     params: tuple = (Fraction(64), Fraction(4096))
-    volume_index: int = 1  # M: which parameter carries the volume
-    per_decade: int = 64
-    ratio_window: tuple = (Fraction(1, 4), Fraction(4))
     # warm-up
     epsilon: Fraction = Fraction(1, 2**10)
     volume: Fraction = Fraction(1000)
     k0_max: int = 100
-    weyl_constant: Fraction = Fraction(10)
     # inclusion-vs-embedding
     k_max: int = 2000
-    sup_slack: float = 0.01
 
 
 @dataclass
@@ -101,7 +106,7 @@ def run_lemma_cap_sweep(config: ExperimentConfig) -> RunReport:
     volume and check c_k / sqrt(k * B_M) stays in the configured window."""
     start = time.monotonic()
     v = ParameterVector(config.params)
-    m_index = config.volume_index
+    m_index = VOLUME_INDEX
     if not 1 <= m_index < len(v):
         raise ValueError("volume index M must satisfy 1 <= M < N")
     b_m = v.B[m_index - 1]
@@ -109,7 +114,7 @@ def run_lemma_cap_sweep(config: ExperimentConfig) -> RunReport:
     k_lo = int(b_m ** (m_index + 1))
     k_hi = int(b_next ** (m_index + 1))
     weights = build_weights(v)
-    lo_win, hi_win = config.ratio_window
+    lo_win, hi_win = RATIO_WINDOW
 
     report = RunReport(
         command="lemma_cap",
@@ -124,7 +129,7 @@ def run_lemma_cap_sweep(config: ExperimentConfig) -> RunReport:
 
     all_in_window = True
     profile = CapacityProfile(weights, k_hi, config.oracle_limit)
-    for k in [k for k in sample_indices(k_hi, config.per_decade) if k >= k_lo]:
+    for k in [k for k in sample_indices(k_hi, SAMPLES_PER_DECADE) if k >= k_lo]:
         lo, hi = profile.interval(k)
         # r in [lo_win, hi_win] iff lo^2 >= lo_win^2 k B_M and
         # hi^2 <= hi_win^2 k B_M, compared exactly.
@@ -182,7 +187,7 @@ def run_ched_warmup(config: ExperimentConfig) -> RunReport:
             "epsilon": str(eps),
             "volume": str(vol),
             "k0_max": config.k0_max,
-            "weyl_constant": str(config.weyl_constant),
+            "weyl_constant": str(WEYL_CONSTANT),
         },
         columns=("k0", "c_x_num", "c_x_den", "c_ball_num", "c_ball_den", "weyl_side"),
     )
@@ -192,7 +197,7 @@ def run_ched_warmup(config: ExperimentConfig) -> RunReport:
         c_ball = ball_capacity(1, k0)
         ok = c_x <= c_ball + 1
         all_ok = all_ok and ok
-        weyl_side = math.sqrt(float(vol) * k0) / float(config.weyl_constant)
+        weyl_side = math.sqrt(float(vol) * k0) / float(WEYL_CONSTANT)
         report.rows.append(
             (
                 k0,
@@ -241,7 +246,7 @@ def run_notsame(config: ExperimentConfig) -> RunReport:
         inputs={
             "epsilon": str(eps),
             "k_max": config.k_max,
-            "sup_slack": config.sup_slack,
+            "sup_slack": SUP_SLACK,
         },
         columns=("k", "c_x2_num", "c_x2_den", "c_ball_num", "c_ball_den", "log_ratio"),
     )
@@ -267,8 +272,8 @@ def run_notsame(config: ExperimentConfig) -> RunReport:
     )
     report.verdict(
         "capacity_sup_small",
-        sup_ratio <= math.log(2) + config.sup_slack,
-        f"sup log ratio = {sup_ratio:.6f} <= ln 2 + {config.sup_slack}",
+        sup_ratio <= math.log(2) + SUP_SLACK,
+        f"sup log ratio = {sup_ratio:.6f} <= ln 2 + {SUP_SLACK}",
     )
     report.verdict(
         "ordering",

@@ -95,6 +95,10 @@ class MomentProfile:
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("MomentProfile is immutable")
 
+    def __reduce__(self):
+        # rebuilt through the constructor, as for WeightMultiset
+        return (MomentProfile, (self.vertices,))
+
     def __eq__(self, other):
         return isinstance(other, MomentProfile) and self.vertices == other.vertices
 

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import mpmath
 
 from .errors import DimensionMismatchError, RepresentabilityError
 from .geometry import MomentProfile
-from .scalars import Scalar, exact_sqrt, floor_sqrt, half_integer_power, is_integral
-from .weights import DEFAULT_REALIZATION_LIMIT, WeightMultiset, realize
+from .scalars import Scalar, half_integer_power, is_integral
+from .weights import WeightMultiset, realize
 
 DEFAULT_THRESHOLD = Fraction(64)
 DEFAULT_PRECISION = 200  # bits
@@ -84,16 +84,9 @@ def validate_parameters(
     )
 
 
-def build_weights(
-    v: ParameterVector, padding: Optional[tuple] = None
-) -> WeightMultiset:
+def build_weights(v: ParameterVector) -> WeightMultiset:
     """Weight multiset of the ellipsoid union: B_i^{i+1} copies of
-    B_i^{-i/2} for i = 1..N.
-
-    ``padding`` = (count, bound) appends ``count`` equal weights of size at
-    most min(bound, B_N^{-N}), shrunk so the padded area grows by at most 1;
-    this models the smoothing tail at the weight level.
-    """
+    B_i^{-i/2} for i = 1..N."""
     entries = []
     for index, b in enumerate(v.B, start=1):
         a = half_integer_power(b, -index)
@@ -108,23 +101,12 @@ def build_weights(
                 f"multiplicity B_{index}^{index + 1} = {mult} is not an integer"
             )
         entries.append((a, int(mult)))
-    if padding is not None:
-        count, bound = int(padding[0]), Fraction(padding[1])
-        if count > 0:
-            n = len(v.B)
-            size = min(bound, v.B[-1] ** (-n))
-            size = min(size, floor_sqrt(Fraction(2, count)))
-            if size <= 0:
-                raise ValueError("padding bound must be positive")
-            entries.append((size, count))
     return WeightMultiset(entries)
 
 
-def build_domain(
-    v: ParameterVector, realization_limit: int = DEFAULT_REALIZATION_LIMIT
-) -> MomentProfile:
+def build_domain(v: ParameterVector) -> MomentProfile:
     """Explicit concave realization of the quasi-flat weights (desk scale)."""
-    return realize(build_weights(v), realization_limit=realization_limit)
+    return realize(build_weights(v))
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,11 @@ class WeightMultiset:
     def __setattr__(self, name, value):
         raise AttributeError("WeightMultiset is immutable")
 
+    def __reduce__(self):
+        # rebuilt through the constructor, which copy and pickle would
+        # otherwise bypass by setting the slot directly
+        return (WeightMultiset, (self.entries,))
+
     def __eq__(self, other):
         return isinstance(other, WeightMultiset) and self.entries == other.entries
 

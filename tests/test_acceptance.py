@@ -149,13 +149,15 @@ def test_criterion_05_fast_vs_oracle(capsys):
         for k in (3 * 10**5, 10**6):
             result = multiset_capacity_fast(wm, k)
             gap_ok = gap_ok and result.gap <= Fraction(1, 20)
+            if result.best != multiset_capacity_oracle(wm, k, oracle_limit=2 * 10**6).best:
+                mismatches += 1
     verdict(
         capsys,
         "criterion 05 fast solver vs oracle",
         mismatches == 0 and gap_ok,
         time.monotonic() - start,
         300,
-        f"{mismatches} mismatches in 500",
+        f"{mismatches} mismatches in 504",
     )
 
 

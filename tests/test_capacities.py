@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from echcap import capacities
 from echcap.capacities import (
     CapacityProfile,
     _floor_sum,
@@ -14,6 +15,7 @@ from echcap.capacities import (
     multiset_capacity_fast,
     multiset_capacity_oracle,
     multiset_capacity_sweep,
+    multiset_capacity_table,
     weyl_ratio,
 )
 from echcap.errors import ResourceLimitError
@@ -214,8 +216,7 @@ def test_fast_matches_oracle_small():
         k = rng.randint(1, 3000)
         fast = multiset_capacity_fast(wm, k)
         oracle = multiset_capacity_oracle(wm, k)
-        assert fast.best == oracle.best
-        assert fast.upper >= oracle.best
+        assert fast.exact and fast.best == oracle.best
         assert fast.witness.cost <= 2 * k
 
 
@@ -224,21 +225,79 @@ def test_fast_interval_contract():
     result = multiset_capacity_fast(wm, 4096)
     assert result.exact and result.value == 512
     big = multiset_capacity_fast(wm, 16777216)
-    assert big.best <= big.upper
-    assert big.gap <= Fraction(1, 20)
+    assert big.exact and big.witness.value == big.value
+    assert big.witness.cost <= 2 * 16777216
 
 
 def test_fast_tiny_weights():
-    # weights below the float range: the relaxation works relative to the
-    # largest weight, so nothing underflows
+    # weights far below the float range: the engine runs on integers and
+    # Fractions only
     tiny = Fraction(1, 10**400)
     wm = WeightMultiset([(tiny, 3)])
     result = multiset_capacity_fast(wm, 10)
     assert result.best == multiset_capacity_oracle(wm, 10).best == 6 * tiny
-    assert result.best <= result.upper
+    assert result.exact
     mixed = WeightMultiset([(tiny, 2), (tiny / 3, 5)])
     result = multiset_capacity_fast(mixed, 40)
-    assert result.best <= multiset_capacity_oracle(mixed, 40).best <= result.upper
+    assert result.value == multiset_capacity_oracle(mixed, 40).best
+
+
+def random_multiset(rng, classes, weights, copies):
+    entries = {}
+    for _ in range(classes):
+        entries[rng.choice(weights)] = rng.choice(copies)
+    return WeightMultiset(entries.items())
+
+
+def test_fast_exact_against_sweep():
+    """Exact, with a witness of cost <= 2k worth c_k, against one DP sweep:
+    weights from a short list of small ratios (so tier ratios tie across
+    classes), up to 10^6 copies, more than 20 classes, and k = 0."""
+    rng = random.Random(2718)
+    tied = [Fraction(p, q) for p in (1, 2, 3, 4, 6) for q in (1, 2, 3)]
+    spread = [Fraction(p, q) for p in range(1, 41) for q in range(1, 41)]
+    copies = [1, 2, 3, 7, 30, 500, 10**6]
+    cases = []
+    for _ in range(40):
+        cases.append((random_multiset(rng, rng.randint(1, 8), tied, copies), 20000))
+    for _ in range(25):
+        cases.append((random_multiset(rng, rng.randint(21, 30), spread, copies), 3000))
+    for wm, k_top in cases:
+        k_max = rng.randint(1, k_top)
+        table, den = multiset_capacity_table(wm, k_max, oracle_limit=2 * k_max)
+        for k in [0, 1, k_max] + rng.sample(range(k_max), 12):
+            result = multiset_capacity_fast(wm, k)
+            assert result.exact and result.value == Fraction(int(table[k]), den)
+            assert result.witness.value == result.value
+            assert result.witness.cost <= 2 * k
+
+
+def test_fast_fallback_interval_is_sound(monkeypatch):
+    """With no DP cells allowed, a query the incumbent does not settle
+    comes back as [incumbent, floor(V_LP)], which holds c_k."""
+    monkeypatch.setattr(capacities, "_CELL_LIMIT", 0)
+    rng = random.Random(31)
+    spread = [Fraction(p, q) for p in range(1, 31) for q in range(1, 31)]
+    fallbacks = 0
+    for _ in range(150):
+        wm = random_multiset(rng, rng.randint(1, 6), spread, [1, 2, 5, 40, 10**4])
+        k = rng.randint(0, 3000)
+        result = multiset_capacity_fast(wm, k)
+        c_k = multiset_capacity_oracle(wm, k, oracle_limit=6000).best
+        assert result.best <= c_k <= result.upper
+        assert result.exact == (result.best == result.upper)
+        assert result.witness.value == result.best and result.witness.cost <= 2 * k
+        fallbacks += not result.exact
+    assert fallbacks > 20
+
+
+def test_fast_quasiflat_far_above_the_sweep():
+    # the quasi-flat (16, 256) at k = 10^7: a full sweep to the budget
+    # 2 * 10^7 gives 82157/2
+    wm = WeightMultiset([(Fraction(1, 4), 256), (Fraction(1, 256), 256**3)])
+    result = multiset_capacity_fast(wm, 10**7)
+    assert result.exact and result.value == Fraction(82157, 2)
+    assert result.witness.cost <= 2 * 10**7
 
 
 def test_exact_capacity_dispatch():

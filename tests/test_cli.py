@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from echcap import capacities
 from echcap.capacities import multiset_capacity_fast
 from echcap.cli import build_parser, main
 from echcap.domainfile import save_domain
@@ -88,8 +89,8 @@ def test_capacity_negative_index(domain, flag, request, capsys):
 
 
 def test_capacity_sweep_above_oracle_limit(weights_file, capsys):
-    """Below the sweep's reach (oracle_limit // 2 = 2) every row is exact;
-    above it rows are fast-solver intervals; each row is what --k gives."""
+    """Below the sweep's reach (oracle_limit // 2 = 2) rows come from the
+    sweep, above it from the exact engine; each row is what --k gives."""
     args = ["capacity", "--domain", weights_file, "--oracle-limit", "4"]
     assert main(args + ["--kmax", "6"]) == 0
     rows = _csv_rows(capsys)[1:]
@@ -120,6 +121,20 @@ def test_capacity_sweep_ellipsoid_matches_enumeration(tmp_path, capsys):
     for (k, num, den, exact, gap), v in zip(rows, values):
         assert Fraction(int(num), int(den)) == Fraction(v, 12)
         assert (exact, gap) == ("1", "0")
+
+
+def test_capacity_ellipsoid_above_a_million(tmp_path, capsys):
+    """Lattice counting has no range limit: c_k of E(2, 3) at k = 2 * 10^6
+    is the (k+1)-st smallest of {2m + 3n}, listed and sorted directly."""
+    path = tmp_path / "e23.json"
+    save_domain(Ellipsoid(2, 3), path)
+    k = 2 * 10**6
+    assert main(["capacity", "--domain", str(path), "--k", str(k)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    bound = math.isqrt(2 * 2 * 3 * (k + 1)) + 2
+    values = sorted(2 * m + 3 * n for n in range(bound // 3 + 1) for m in range((bound - 3 * n) // 2 + 1))
+    assert len(values) > k
+    assert doc == {"k": k, "value": f"{values[k]}/1", "upper": f"{values[k]}/1", "exact": True}
 
 
 def test_certificate_negative_k_cap(capsys):
@@ -169,11 +184,17 @@ def test_capacity_and_weyl_through_weights(domain, request, capsys):
     assert Fraction(doc["ratio"]) == values[5] ** 2 / (4 * 5 * volume)
 
 
-def test_weyl_needs_an_exact_capacity(weights_file, capsys):
-    # above the sweep's reach the fast solver leaves c_40 an open interval
-    rc = main(["weyl", "--domain", weights_file, "--k", "40", "--oracle-limit", "4"])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("error: c_40 is only known as an interval")
+def test_weyl_needs_an_exact_capacity(weights_file, capsys, monkeypatch):
+    # above the sweep's reach the exact engine answers c_41 ...
+    args = ["weyl", "--domain", weights_file, "--k", "41"]
+    assert main(args) == 0
+    ratio = json.loads(capsys.readouterr().out)["ratio"]
+    assert main(args + ["--oracle-limit", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["ratio"] == ratio
+    # ... unless its window DP is over the cell limit, which leaves an interval
+    monkeypatch.setattr(capacities, "_CELL_LIMIT", 0)
+    assert main(args + ["--oracle-limit", "4"]) == 2
+    assert capsys.readouterr().err.startswith("error: c_41 is only known as an interval")
 
 
 VERB_OPTIONS = {
@@ -308,15 +329,15 @@ def test_ched_report_files(tmp_path):
 
 
 def test_lemma_cap_exact_below_reach():
-    """Rows the sweep reaches are exact, and inside the fast solver's
-    interval; rows above it are the fast solver's."""
+    """Every row is exact: from the sweep below its reach, where the exact
+    engine gives the same value, and from the exact engine above it."""
     cfg = ExperimentConfig()
     report = run_lemma_cap_sweep(cfg)
     assert report.passed
     reach = cfg.oracle_limit // 2
     below = [row for row in report.rows if row[0] <= reach]
     assert len(below) == 108 and len(report.rows) > len(below)
-    for k, num, den, _, exact, gap in below:
-        assert (exact, gap) == (1, "0")
-        fast = multiset_capacity_fast(build_weights(ParameterVector(cfg.params)), k)
-        assert fast.best <= Fraction(num, den) <= fast.upper
+    assert all((exact, gap) == (1, "0") for _, _, _, _, exact, gap in report.rows)
+    weights = build_weights(ParameterVector(cfg.params))
+    for k, num, den, _, _, _ in below:
+        assert multiset_capacity_fast(weights, k).value == Fraction(num, den)

@@ -123,7 +123,7 @@ def _small_grid_certificate():
     vecs = [ParameterVector([b, b * b]) for b in (4, 16, 64)]
     pairs = [(v, w) for v in vecs for w in vecs]
     # k_cap above the sweep's reach (oracle_limit // 2) exercises both the
-    # exact profile and the fast-solver intervals
+    # sweep and the exact engine above it
     return pairs, certificate(pairs, k_cap=400, per_decade=16, oracle_limit=300)
 
 

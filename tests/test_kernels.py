@@ -1,5 +1,5 @@
-"""The tier DP behind the oracle, the sweep and the fast solver's polish,
-checked against direct enumeration."""
+"""The tier DP behind the oracle, the sweep and the exact engine's window
+DP, checked against direct enumeration."""
 
 import itertools
 import random
@@ -7,13 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from echcap._kernels import backtrack, open_windows, tier_dp, tier_plans
-from echcap.capacities import (
-    _polish,
-    _ScaledClasses,
-    _Solution,
-    multiset_capacity_oracle,
-)
+from echcap._kernels import backtrack, half_cost, tier_dp, tier_plans
+from echcap.capacities import _ScaledClasses, multiset_capacity_oracle
 from echcap.weights import WeightMultiset
 
 
@@ -55,8 +50,7 @@ def random_classes(rng, max_copies=3, max_total=5):
 
 
 def plans_for(classes, k):
-    windows = open_windows(len(classes), k)
-    return tier_plans(classes.scaled, classes.copies, k, windows)
+    return tier_plans(classes.scaled, classes.copies, k, [(0, k)] * len(classes))
 
 
 # one DP pass without the per-class history, and one that keeps it
@@ -85,7 +79,7 @@ def test_witness_reproduces_value_in_normal_form():
     for _ in range(60):
         classes = random_classes(rng, max_copies=40, max_total=60)
         h = rng.randint(0, 200)
-        windows = open_windows(len(classes), h)
+        windows = [(0, h)] * len(classes)
         dp, history = tier_dp(plans_for(classes, h), h, keep=True)
         units = backtrack(classes.scaled, classes.copies, history, windows, h)
         assert sum(u * s for u, s in zip(units, classes.scaled)) == dp[h]
@@ -113,35 +107,32 @@ def test_object_dtype_for_large_values():
         assert large.witness.value == large.best
 
 
-def enumerate_window(classes, levels, window, budget):
-    """Best scaled value with each class empty or at levels within
-    ``window`` of ``levels``, by enumerating every combination."""
-    choices = []
-    for n, d in zip(classes.copies, levels):
-        lo = n * max(0, d - window)
-        hi = n * (d + window + 1) - 1
-        choices.append([0] + list(range(max(lo, 1), hi + 1)))
-    best = 0
-    for units in itertools.product(*choices):
-        cost = sum(normal_cost(n, u) for n, u in zip(classes.copies, units))
-        if cost <= budget:
-            best = max(best, sum(u * s for u, s in zip(units, classes.scaled)))
-    return best
-
-
-def test_polish_matches_window_enumeration():
+def test_window_dp_matches_enumeration():
+    """Windows [L, H] of units per class: the DP over the budget the bases
+    leave, plus the bases' value, is the best over every unit count in the
+    windows, at every budget, and backtrack stays in the windows."""
     rng = random.Random(7)
-    for _ in range(200):
+    for _ in range(300):
         classes = random_classes(rng, max_copies=4, max_total=6)
-        budget = rng.randint(4, 80)
-        window = rng.randint(0, 2)
-        sol = _Solution(classes, [rng.randint(0, 4) for _ in range(len(classes))])
-        while sol.cost > budget:
-            sol.demote(max(range(len(classes)), key=lambda i: sol.levels[i]))
-        polished = _polish(classes, sol, budget, window)
-        expected = max(
-            enumerate_window(classes, sol.levels, window, budget), sol.scaled_value()
+        windows = []
+        for n in classes.copies:
+            lo = rng.randint(0, 3 * n)
+            windows.append((lo, lo + rng.randint(0, 2 * n + 2)))
+        base = sum(half_cost(n, lo) for n, (lo, _) in zip(classes.copies, windows))
+        base_value = sum(s * lo for s, (lo, _) in zip(classes.scaled, windows))
+        h = rng.randint(0, 30)
+        dp, history = tier_dp(
+            tier_plans(classes.scaled, classes.copies, h, windows), h, keep=True
         )
-        assert polished.scaled_value() == expected
-        assert polished.cost <= budget
-        assert all(0 <= r < n for r, n in zip(polished.promoted, classes.copies))
+        best = [None] * (h + 1)
+        for units in itertools.product(*(range(lo, hi + 1) for lo, hi in windows)):
+            cost = sum(half_cost(n, u) for n, u in zip(classes.copies, units)) - base
+            value = sum(s * u for s, u in zip(classes.scaled, units))
+            for b in range(max(cost, 0), h + 1):
+                if best[b] is None or value > best[b]:
+                    best[b] = value
+        assert [base_value + int(x) for x in dp] == best
+        units = backtrack(classes.scaled, classes.copies, history, windows, h)
+        assert all(lo <= u <= hi for u, (lo, hi) in zip(units, windows))
+        assert sum(half_cost(n, u) for n, u in zip(classes.copies, units)) - base <= h
+        assert sum(s * u for s, u in zip(classes.scaled, units)) == best[h]

@@ -59,14 +59,6 @@ def test_build_weights_rejects_irrational():
         build_weights(ParameterVector([2, 4]))
 
 
-def test_build_weights_padding():
-    base = build_weights(ParameterVector([64, 4096]))
-    padded = build_weights(ParameterVector([64, 4096]), padding=(100, Fraction(1, 10**6)))
-    assert padded.total_area() <= base.total_area() + 1
-    assert padded.total_multiplicity == base.total_multiplicity + 100
-    assert min(w for w, _ in padded.entries) <= Fraction(1, 10**6)
-
-
 def test_build_domain_expands_back():
     v = ParameterVector([64, 4096])
     p = build_domain(v)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -115,3 +117,18 @@ def test_realize_limit():
     w = WeightMultiset([(Fraction(1, n), 1) for n in range(1, 30)])
     with pytest.raises(RealizationLimitError):
         realize(w, realization_limit=10)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        WeightMultiset([(Fraction(7, 3), 5), (1, 2)]),
+        MomentProfile([(0, 3), (1, 1), (Fraction(5, 2), 0)]),
+    ],
+    ids=["weights", "profile"],
+)
+def test_copy_and_pickle_roundtrip(obj):
+    for clone in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert type(clone) is type(obj) and clone == obj and hash(clone) == hash(obj)
+        with pytest.raises(AttributeError):
+            clone.entries = ()
