@@ -20,6 +20,14 @@ A class's units range over a window [L, H]: the first L units are a base
 whose cost the caller takes off the budget, and the items add units
 L+1..H.  The oracle and the sweep pass [0, k]; the exact engine passes the
 windows its reduced costs and proximity bound leave open.
+
+Each item starts at its normal-form cost: an item of tier j is applied
+only at budgets of at least its own cost plus the cost of filling the
+window up to the first unit of tier j, since a normal-form assignment that
+takes any unit of tier j has filled every earlier unit.  The cells below
+that start hold only non-normal-form mixes, which are never better (see
+``tier_dp``), so every per-class dp is unchanged.  A DP over budgets
+0..k runs sum(k + 1 - start) cells over its items.
 """
 
 from __future__ import annotations
@@ -39,8 +47,9 @@ def half_cost(n: int, u: int) -> int:
 
 
 def _tier_items(n: int, s: int, k: int, lo: int, hi: int) -> list:
-    """0/1 items (cost, scaled value) for units lo+1..hi of one class,
-    within k half-units counted from the cost of its first lo units.
+    """0/1 items (cost, scaled value, start) for units lo+1..hi of one
+    class, within k half-units counted from the cost of its first lo units;
+    start is the item's cost plus that of the units before its tier.
 
     Tier j is open while the units between lo and its first unit, plus one
     of its own, fit in k, and it holds at most as many units as the rest of
@@ -57,7 +66,7 @@ def _tier_items(n: int, s: int, k: int, lo: int, hi: int) -> list:
         size = 1
         while cap > 0:
             t = min(size, cap)
-            items.append((j * t, s * t))
+            items.append((j * t, s * t, spent + j * t))
             cap -= t
             size *= 2
         spent += (end - lo) * j
@@ -67,9 +76,9 @@ def _tier_items(n: int, s: int, k: int, lo: int, hi: int) -> list:
 
 
 def tier_plans(scaled, copies, k: int, windows) -> list:
-    """Per class, with ``windows[i] = (L, H)``: the items that add units
-    L+1..H to a base of L units, within k half-units beyond the base's
-    cost."""
+    """Per class, with ``windows[i] = (L, H)``: the items (cost, value,
+    start) that add units L+1..H to a base of L units, within k half-units
+    beyond the base's cost."""
     return [_tier_items(n, s, k, lo, hi) for s, n, (lo, hi) in zip(scaled, copies, windows)]
 
 
@@ -81,19 +90,28 @@ def tier_dp(plans: list, k: int, keep: bool):
     0.  The DP may take a class's tier units in any mix, but all of them
     are worth the same and tier costs grow with j, so the cheapest-first
     (normal-form) assignment with as many units is never dearer: the
-    optimum is a normal-form one.  Values that may reach 2^62 run on Python
-    integers (object dtype).  Returns (dp, history) where history[i] is the
-    dp before class i and history[-1] is dp, or (dp, None) unless ``keep``.
+    optimum is a normal-form one.
+
+    So each item updates only dp[start:].  Along a normal-form
+    assignment, an item of tier j is applied at the assignment's cost less
+    that of the items taken after it, and that is at least its start: all
+    units before tier j are taken, and they cost the rest.  Every
+    normal-form assignment is still reached, so each class's dp is the
+    same as with full updates.
+
+    Values that may reach 2^62 run on Python integers (object dtype).
+    Returns (dp, history) where history[i] is the dp before class i and
+    history[-1] is dp, or (dp, None) unless ``keep``.
     """
-    bound = sum(v for items in plans for _, v in items)
+    bound = sum(v for items in plans for _, v, _ in items)
     dtype = np.int64 if bound < _INT64_SAFE else object
     dp = np.zeros(k + 1, dtype=dtype)
     history = [dp] if keep else None
     for items in plans:
         if items and keep:
             dp = dp.copy()
-        for c, v in items:
-            np.maximum(dp[c:], dp[:-c] + v, out=dp[c:])
+        for c, v, start in items:
+            np.maximum(dp[start:], dp[start - c : k + 1 - c] + v, out=dp[start:])
         if keep:
             history.append(dp)
     return dp, history

@@ -214,6 +214,8 @@ def multiset_capacity_table(
     """One DP sweep up to the budget 2*k_max, run in half-units:
     (dp, denominator) with c_k = dp[k] / denominator for every k in
     0..k_max."""
+    if k_max < 0:
+        raise ValueError("capacity index must be >= 0")
     budget = 2 * k_max
     if budget > oracle_limit:
         raise ResourceLimitError(
@@ -239,8 +241,9 @@ def multiset_capacity_sweep(
 # a proximity cap, and one DP over the windows.
 # ---------------------------------------------------------------------------
 
-# DP cells (budget x items) of the window DP; its history holds at most 16
-# bytes per cell, so 160 MB
+# Limit on the window DP's cells, sum(budget + 1 - start) over its items,
+# and on the values its history keeps, budget + 1 per class with items;
+# together at most 16 bytes per cell, so 160 MB
 _CELL_LIMIT = 10**7
 
 
@@ -364,8 +367,9 @@ def multiset_capacity_fast(w: WeightMultiset, k: int) -> CapacityResult:
       the same units per class and costs no more.
     - One ``tier_dp`` over the windows, on the budget their bases leave,
       and ``backtrack`` for the witness.
-    - When that DP's cells exceed ``_CELL_LIMIT``: the interval
-      [incumbent, floor(V_LP)], sound but not exact.
+    - When that DP's cells, or the values its history keeps, exceed
+      ``_CELL_LIMIT``: the interval [incumbent, floor(V_LP)], sound but
+      not exact.
     """
     if k < 0:
         raise ValueError("capacity index must be >= 0")
@@ -401,7 +405,10 @@ def multiset_capacity_fast(w: WeightMultiset, k: int) -> CapacityResult:
     if budget < 0:  # no window assignment fits: the incumbent is optimal
         return _witness_result(classes, best, best, units, k)
     plans = tier_plans(scaled, copies, budget, windows) if budget < _CELL_LIMIT else None
-    if plans is None or (budget + 1) * sum(map(len, plans)) > _CELL_LIMIT:
+    if plans is None or max(
+        sum(budget + 1 - start for items in plans for _, _, start in items),
+        (budget + 1) * sum(1 for items in plans if items),
+    ) > _CELL_LIMIT:
         return _witness_result(classes, best, lp // Q, units, k)
     dp, history = tier_dp(plans, budget, keep=True)
     value = sum(s * lo for s, (lo, _) in zip(scaled, windows)) + int(dp[budget])

@@ -141,6 +141,8 @@ def cmd_build_flat(args) -> int:
 
 
 def cmd_chart(args) -> int:
+    if args.points is None and args.x is None:
+        raise EchcapError("chart needs --points or --x")
     if args.points:
         rows = []
         with open(args.points, newline="") as fh:
@@ -278,7 +280,7 @@ def _experiment_config(args) -> ExperimentConfig:
         cfg.epsilon = parse_rational(args.epsilon)
     if getattr(args, "volume", None):
         cfg.volume = parse_rational(args.volume)
-    if getattr(args, "kmax", None):
+    if getattr(args, "kmax", None) is not None:
         cfg.k_max = args.kmax
         cfg.k0_max = args.kmax
     return cfg

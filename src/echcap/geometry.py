@@ -60,7 +60,13 @@ class MomentProfile:
     __slots__ = ("vertices",)
 
     def __init__(self, vertices: Iterable[Sequence]):
-        pts = [(Fraction(x), Fraction(y)) for x, y in vertices]
+        pts = [
+            (
+                x if type(x) is Fraction else Fraction(x),
+                y if type(y) is Fraction else Fraction(y),
+            )
+            for x, y in vertices
+        ]
         if len(pts) < 2:
             raise DegenerateRegionError("profile needs at least two vertices")
         if pts[0][0] != 0:
@@ -82,13 +88,11 @@ class MomentProfile:
                 raise DegenerateRegionError(
                     "profile is not convex: slopes must be nondecreasing"
                 )
-        # Drop collinear interior vertices for a canonical form.
+        # Drop collinear interior vertices for a canonical form: a vertex is
+        # collinear with its kept neighbours exactly when the slopes on its
+        # two sides agree.
         cleaned = [pts[0]]
-        for i in range(1, len(pts) - 1):
-            (x1, y1), (x2, y2), (x3, y3) = cleaned[-1], pts[i], pts[i + 1]
-            if (y2 - y1) * (x3 - x1) == (y3 - y1) * (x2 - x1):
-                continue
-            cleaned.append(pts[i])
+        cleaned.extend(p for p, s1, s2 in zip(pts[1:], slopes, slopes[1:]) if s1 != s2)
         cleaned.append(pts[-1])
         object.__setattr__(self, "vertices", tuple(cleaned))
 

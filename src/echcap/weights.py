@@ -133,32 +133,25 @@ def ellipsoid_weights(e: Ellipsoid) -> WeightMultiset:
     return WeightMultiset(entries)
 
 
-def _head_weight(profile: MomentProfile) -> Fraction:
-    # Largest c with the triangle of size c inside the region: the minimum
-    # of x + y over the boundary polyline, attained at a vertex.
-    return min(x + y for x, y in profile.vertices)
-
-
-def _split(profile: MomentProfile, c: Fraction):
+def _split(profile: MomentProfile, c: Fraction, sums: list):
     """Leftover regions after removing the corner triangle of size c,
-    sheared into concave position.  Returns (upper, lower), either None."""
+    sheared into concave position, with ``sums`` the x + y of each vertex.
+    Returns (upper, lower), either None."""
     verts = profile.vertices
 
     # Upper piece: boundary up to the first point where x + y == c, then
     # the shear (x, y) -> (x, x + y - c) puts it against the axes.
     upper_pts = []
     for i, (x, y) in enumerate(verts):
-        if x + y > c:
-            upper_pts.append((x, x + y - c))
+        if sums[i] > c:
+            upper_pts.append((x, sums[i] - c))
         else:
             if i > 0:
-                # First touch may be interior to the segment ending here.
+                # First touch may be interior to the segment ending here:
+                # solve x + f(x) = c on it.
                 x1, y1 = verts[i - 1]
-                if x1 + y1 > c:
-                    # Solve x + f(x) = c on the segment.
-                    sx, sy = x - x1, y - y1
-                    t = (c - x1 - y1) / (sx + sy)
-                    upper_pts.append((x1 + t * sx, Fraction(0)))
+                t = (c - sums[i - 1]) / (sums[i] - sums[i - 1])
+                upper_pts.append((x1 + t * (x - x1), Fraction(0)))
             break
     upper = MomentProfile(upper_pts) if len(upper_pts) >= 2 else None
 
@@ -167,15 +160,13 @@ def _split(profile: MomentProfile, c: Fraction):
     lower_pts = []
     for i in range(len(verts) - 1, -1, -1):
         x, y = verts[i]
-        if x + y > c:
-            lower_pts.append((x + y - c, y))
+        if sums[i] > c:
+            lower_pts.append((sums[i] - c, y))
         else:
             if i < len(verts) - 1:
-                x2, y2 = verts[i + 1]
-                if x2 + y2 > c:
-                    sx, sy = x2 - x, y2 - y
-                    t = (c - x - y) / (sx + sy)
-                    lower_pts.append((Fraction(0), y + t * sy))
+                y2 = verts[i + 1][1]
+                t = (c - sums[i]) / (sums[i + 1] - sums[i])
+                lower_pts.append((Fraction(0), y + t * (y2 - y)))
             break
     lower_pts.reverse()
     lower = MomentProfile(lower_pts) if len(lower_pts) >= 2 else None
@@ -220,11 +211,15 @@ def weight_expansion(
                 entries.append((c, int(q)))
                 parent, label = node, side
             continue
-        c = _head_weight(region)
+        # The head weight is the largest c with the triangle of size c
+        # inside the region: the minimum of x + y over the boundary
+        # polyline, attained at a vertex.
+        sums = [x + y for x, y in region.vertices]
+        c = min(sums)
         node = ExpansionTrace(size=c)
         parent.children.append((label, node))
         entries.append((c, 1))
-        upper, lower = _split(region, c)
+        upper, lower = _split(region, c, sums)
         if lower is not None:
             stack.append((lower, node, "lower"))
         if upper is not None:

@@ -267,6 +267,13 @@ def test_chart_points_file(tmp_path, capsys):
     assert len(rows) == 3
 
 
+def test_chart_needs_points_or_x(capsys):
+    assert main(["chart"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: chart needs --points or --x\n"
+
+
 def test_distance_verb(ball_file, ellipsoid_file, capsys):
     rc = main(
         ["distance", "--domain", ball_file, "--domain2", ellipsoid_file, "--kmax", "50"]
@@ -288,6 +295,23 @@ def test_experiment_verbs_exit_zero(capsys):
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
     assert main(["ched", "--kmax", "30"]) == 0
+
+
+@pytest.mark.parametrize("verb", ["ched", "notsame"])
+def test_experiment_negative_kmax(verb, capsys):
+    assert main([verb, "--kmax", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: capacity index must be >= 0\n"
+
+
+def test_ched_kmax_zero(tmp_path, capsys):
+    """--kmax 0 is a range of one k0, not the default range."""
+    assert main(["ched", "--kmax", "0", "--out", str(tmp_path)]) == 0
+    rows = list(csv.reader(io.StringIO((tmp_path / "ched.csv").read_text())))
+    assert rows[1:] == [["0", "0", "1", "0", "1", "0"]]
+    doc = json.loads((tmp_path / "ched_report.json").read_text())
+    assert doc["inputs"]["k0_max"] == 0
 
 
 def test_missing_output_directory(ball_file, capsys):

@@ -60,6 +60,72 @@ def test_profile_drops_collinear():
     assert p.vertices == ((Fraction(0), Fraction(2)), (Fraction(2), Fraction(0)))
 
 
+@pytest.mark.parametrize(
+    "vertices, message",
+    [
+        ([(0, 1)], "profile needs at least two vertices"),
+        ([(1, 2), (2, 1)], "first vertex must lie on the y-axis"),
+        ([(0, 2), (1, 1)], "last vertex must lie on the x-axis"),
+        ([(0, 2), (0, 1), (1, 0)], "x-coordinates must strictly increase"),
+        ([(0, 2), (2, 1), (1, 0)], "x-coordinates must strictly increase"),
+        ([(0, 1), (1, 2), (2, 0)], "y-coordinates must strictly decrease"),
+        ([(0, 2), (1, 2), (2, 0)], "y-coordinates must strictly decrease"),
+        ([(0, 3), (1, 2), (2, 0)], "profile is not convex: slopes must be nondecreasing"),
+        (
+            [(0, 4), (1, 3), (2, 1), (3, 0)],
+            "profile is not convex: slopes must be nondecreasing",
+        ),
+    ],
+)
+def test_profile_validation_messages(vertices, message):
+    with pytest.raises(DegenerateRegionError) as err:
+        MomentProfile(vertices)
+    assert str(err.value) == message
+
+
+def _cross_product_cleaner(pts):
+    """The collinear-vertex cleaner MomentProfile used before it compared
+    its slopes: drop a vertex collinear with the last kept one and the
+    next."""
+    cleaned = [pts[0]]
+    for i in range(1, len(pts) - 1):
+        (x1, y1), (x2, y2), (x3, y3) = cleaned[-1], pts[i], pts[i + 1]
+        if (y2 - y1) * (x3 - x1) == (y3 - y1) * (x2 - x1):
+            continue
+        cleaned.append(pts[i])
+    cleaned.append(pts[-1])
+    return tuple(cleaned)
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "mixed"])
+def test_profile_drops_the_same_collinear_vertices(kind):
+    """Random convex profiles built from integer edge vectors, each edge
+    split into collinear pieces, keep exactly the vertices the
+    cross-product cleaner keeps, as Fractions."""
+    rng = random.Random(f"collinear-{kind}")
+    for _ in range(300):
+        edges = [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(rng.randint(1, 5))]
+        edges.sort(key=lambda e: Fraction(-e[1], e[0]))  # nondecreasing slopes
+        pieces = [rng.randint(1, 3) for _ in edges]  # collinear pieces per edge
+        x, y = 0, sum(b * m for (_, b), m in zip(edges, pieces))
+        pts = [(x, y)]
+        for (a, b), m in zip(edges, pieces):
+            for _ in range(m):
+                x, y = x + a, y - b
+                pts.append((x, y))
+        if kind == "fraction":
+            t = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            pts = [(t * x, t * y) for x, y in pts]
+        elif kind == "mixed":
+            pts = [
+                tuple(Fraction(c) if rng.random() < 0.5 else c for c in p) for p in pts
+            ]
+        expected = _cross_product_cleaner([(Fraction(x), Fraction(y)) for x, y in pts])
+        vertices = MomentProfile(pts).vertices
+        assert vertices == expected
+        assert all(type(c) is Fraction for p in vertices for c in p)
+
+
 def test_area_examples():
     assert area(Ellipsoid(1, 2)) == 1
     assert area(Ellipsoid.ball(1)) == Fraction(1, 2)

@@ -53,6 +53,27 @@ def plans_for(classes, k):
     return tier_plans(classes.scaled, classes.copies, k, [(0, k)] * len(classes))
 
 
+def test_item_starts_at_its_normal_form_cost():
+    """An item of t units of tier j (cost j t, value s t) starts at its
+    cost plus the cost, above the base, of filling its window up to the
+    tier's first unit, and fits in the budget."""
+    rng = random.Random(99)
+    for _ in range(300):
+        classes = random_classes(rng, max_copies=6, max_total=12)
+        windows = []
+        for n in classes.copies:
+            lo = rng.randint(0, 4 * n)
+            windows.append((lo, lo + rng.randint(0, 5 * n)))
+        k = rng.randint(0, 80)
+        plans = tier_plans(classes.scaled, classes.copies, k, windows)
+        for s, n, (lo, _), items in zip(classes.scaled, classes.copies, windows, plans):
+            for cost, value, start in items:
+                j = cost * s // value
+                filled = max(lo, n * (j - 1))  # units before the tier's first
+                assert start == cost + half_cost(n, filled) - half_cost(n, lo)
+                assert start <= k
+
+
 # one DP pass without the per-class history, and one that keeps it
 @pytest.mark.parametrize("keep", [False, True], ids=["dp_round0", "dp_round1"])
 def test_kernel_against_reference(keep):
