@@ -233,6 +233,8 @@ def multiset_capacity_sweep(
 ) -> list:
     """Exact c_k for every k in 0..k_max from a single DP run."""
     dp, den = multiset_capacity_table(w, k_max, oracle_limit)
+    if den == 1:  # integral values: Fraction(v) takes no gcd
+        return list(map(Fraction, dp.tolist()))
     return [Fraction(v, den) for v in dp.tolist()]
 
 

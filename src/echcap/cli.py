@@ -45,10 +45,7 @@ def _parse_params(text: str) -> ParameterVector:
 def _emit(doc, out: str | None, name: str):
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out:
-        path = Path(out)
-        if not path.is_dir():
-            raise EchcapError(f"output directory does not exist: {path}")
-        (path / name).write_text(text)
+        (Path(out) / name).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -297,6 +294,13 @@ def _run_experiment(runner, args) -> int:
     return 0 if report.passed else 1
 
 
+def cmd_notsame(args) -> int:
+    # a negative --kmax is refused as a capacity index; 0 would sample no k
+    if args.kmax == 0:
+        raise EchcapError("notsame needs --kmax >= 1")
+    return _run_experiment(run_notsame, args)
+
+
 def _add_common(parser, oracle_limit: bool = True):
     parser.add_argument("--out", help="output directory")
     if oracle_limit:
@@ -372,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon")
     p.add_argument("--kmax", type=int)
     _add_common(p)
-    p.set_defaults(func=lambda a: _run_experiment(run_notsame, a))
+    p.set_defaults(func=cmd_notsame)
 
     p = sub.add_parser("weyl", help="Weyl-law ratio diagnostic")
     p.add_argument("--domain", required=True)
@@ -386,6 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out and not Path(args.out).is_dir():
+            raise EchcapError(f"output directory does not exist: {Path(args.out)}")
         return args.func(args)
     except (EchcapError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -166,6 +166,8 @@ def run_lemma_cap_sweep(config: ExperimentConfig) -> RunReport:
 def ched_weight_model(epsilon: Fraction, volume: Fraction) -> WeightMultiset:
     """{1 x 1, eps x m} with m the smallest integer making the area >= V."""
     epsilon = Fraction(epsilon)
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
     volume = Fraction(volume)
     m = math.ceil((2 * volume - 1) / epsilon**2)
     return WeightMultiset([(Fraction(1), 1), (epsilon, m)])
@@ -223,6 +225,8 @@ def run_ched_warmup(config: ExperimentConfig) -> RunReport:
 def notsame_weights(epsilon: Fraction) -> WeightMultiset:
     """Weights of the concave domain built from B(1) and E(eps, 1/eps)."""
     epsilon = Fraction(epsilon)
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
     return WeightMultiset([(Fraction(1), 1)]).union(
         ellipsoid_weights(Ellipsoid(epsilon, 1 / epsilon))
     )

@@ -10,6 +10,7 @@ coordinatewise exponentiation (an isometry onto the log metric).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -133,15 +134,21 @@ def map_linear(x: Sequence) -> tuple:
     """The invertible doubling map on Q_{2n}; exact on rational input.
 
     On inputs with all coordinates >= 3 the image satisfies
-    y_{i+1} >= 2 y_i >= 12."""
+    y_{i+1} >= 2 y_i >= 12.  The point is scaled to integers by the lcm of
+    its denominators, so each row is an integer sum with one division."""
     xs = [Fraction(v) for v in x]
     dim = len(xs)
     if dim == 0 or dim % 2:
         raise DimensionMismatchError("input dimension must be a positive even number")
     if any(v <= 0 for v in xs):
         raise ValueError("coordinates must be positive")
+    den = math.lcm(*(v.denominator for v in xs))
+    ints = [v.numerator * (den // v.denominator) for v in xs]
     return tuple(
-        sum(_linear_coefficient(row, col, dim) * xs[col - 1] for col in range(1, dim + 1))
+        Fraction(
+            sum(_linear_coefficient(row, col, dim) * ints[col - 1] for col in range(1, dim + 1)),
+            den,
+        )
         for row in range(1, dim + 1)
     )
 

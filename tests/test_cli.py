@@ -305,6 +305,23 @@ def test_experiment_negative_kmax(verb, capsys):
     assert captured.err == "error: capacity index must be >= 0\n"
 
 
+@pytest.mark.parametrize("verb", ["ched", "notsame"])
+@pytest.mark.parametrize("epsilon", ["0", "-1/4"])
+def test_experiment_epsilon_not_positive(verb, epsilon, capsys):
+    assert main([verb, f"--epsilon={epsilon}", "--kmax", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: epsilon must be positive\n"
+
+
+def test_notsame_kmax_zero(capsys):
+    """--kmax 0 samples no k, so there is nothing to pass."""
+    assert main(["notsame", "--kmax", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: notsame needs --kmax >= 1\n"
+
+
 def test_ched_kmax_zero(tmp_path, capsys):
     """--kmax 0 is a range of one k0, not the default range."""
     assert main(["ched", "--kmax", "0", "--out", str(tmp_path)]) == 0
@@ -318,6 +335,14 @@ def test_missing_output_directory(ball_file, capsys):
     rc = main(["capacity", "--domain", ball_file, "--k", "1", "--out", "/nonexistent-dir"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_missing_output_directory_before_computing(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert main(["notsame", "--epsilon", "1/4", "--kmax", "20", "--out", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no verdict line
+    assert captured.err == f"error: output directory does not exist: {missing}\n"
 
 
 def test_bad_domain_file(tmp_path, capsys):

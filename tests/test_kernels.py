@@ -5,6 +5,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from echcap._kernels import backtrack, half_cost, tier_dp, tier_plans
@@ -111,6 +112,42 @@ def test_witness_reproduces_value_in_normal_form():
         assert c.level >= 0 and 0 <= c.promoted < c.copies
     assert result.witness.value == result.best
     assert result.witness.cost <= 300
+
+
+def test_lane_at_the_int32_threshold():
+    """The lane follows the value bound, the sum of all item values:
+    int32 strictly below 2^30, int64 from 2^30."""
+    for value, lane in ((2**30 - 1, np.int32), (2**30, np.int64)):
+        dp, _ = tier_dp([[(1, value, 1)]], 3, keep=False)
+        assert dp.dtype == lane
+        assert dp.tolist() == [0, value, value, value]
+
+
+def test_lanes_agree_on_a_scaled_multiset():
+    """One multiset scaled so that its value bound lands just below 2^30,
+    just above it, and near 2^32, where dp values pass 2^31 and an int32
+    lane would wrap: dp, oracle value and witness are the small instance's,
+    scaled."""
+    wm = WeightMultiset([(Fraction(7), 1), (Fraction(4), 3), (Fraction(1), 2)])
+    k = 40
+    small = _ScaledClasses(wm)
+    plans = plans_for(small, k)
+    bound = sum(v for items in plans for _, v, _ in items)
+    dp_small, _ = tier_dp(plans, k, keep=False)
+    oracle_small = multiset_capacity_oracle(wm, k)
+    levels = [(c.level, c.promoted) for c in oracle_small.witness.classes]
+    below, above, wrap = (2**30 - 1) // bound, -(-(2**30) // bound), (2**32 - 1) // bound
+    assert wrap * max(dp_small.tolist()) >= 2**31
+    lanes = []
+    for t in (below, above, wrap):
+        large = _ScaledClasses(wm.scaled(t))
+        dp, _ = tier_dp(plans_for(large, k), k, keep=False)
+        assert dp.tolist() == [t * v for v in dp_small.tolist()]
+        result = multiset_capacity_oracle(wm.scaled(t), k)
+        assert result.best == t * oracle_small.best
+        assert [(c.level, c.promoted) for c in result.witness.classes] == levels
+        lanes.append(dp.dtype)
+    assert lanes == [np.int32, np.int64, np.int64]
 
 
 def test_object_dtype_for_large_values():

@@ -96,6 +96,36 @@ def test_map_linear_roundtrip_random():
         assert map_linear_inverse(y) == tuple(x)
 
 
+def _map_linear_reference(x):
+    """map_linear as a sum of Fraction products, one coefficient at a time:
+    row 1 is all ones; row i+1 has 2^i + 2^{i-1-j} on x_{dim-j} for j < i
+    and 2^i elsewhere."""
+    dim = len(x)
+
+    def coefficient(row, col):
+        if row == 1:
+            return 1
+        i, j = row - 1, dim - col
+        return 2**i + 2 ** (i - 1 - j) if j < i else 2**i
+
+    return tuple(
+        sum(coefficient(row, col) * Fraction(x[col - 1]) for col in range(1, dim + 1))
+        for row in range(1, dim + 1)
+    )
+
+
+def test_map_linear_matches_fraction_reference():
+    rng = random.Random(808)
+    for _ in range(500):
+        dim = 2 * rng.randint(1, 4)
+        x = [Fraction(rng.randint(1, 10**6), rng.randint(1, 10**4)) for _ in range(dim)]
+        if rng.random() < 0.3:
+            x[rng.randrange(dim)] = rng.randint(1, 50)  # a plain int coordinate
+        y = map_linear(x)
+        assert y == _map_linear_reference(x)
+        assert all(type(v) is Fraction for v in y)
+
+
 def test_map_linear_image_property():
     rng = random.Random(4321)
     for _ in range(200):
