@@ -235,6 +235,10 @@ def notsame_weights(epsilon: Fraction) -> WeightMultiset:
 def run_notsame(config: ExperimentConfig) -> RunReport:
     """Exact inclusion distance ln(1 + 1/eps) against the capacity-ratio
     supremum, which stays below ln 2 (+ slack)."""
+    # k runs over 1..k_max: k_max = 0 would check no capacity and pass
+    # vacuously; a negative k_max is refused by the sweep as an index
+    if config.k_max == 0:
+        raise ValueError("notsame needs k_max >= 1")
     start = time.monotonic()
     eps = Fraction(config.epsilon)
     weights = notsame_weights(eps)

@@ -3,14 +3,21 @@
 A concave toric domain is encoded by its moment region: the part of the
 first quadrant below a convex, strictly decreasing piecewise-linear function
 running from (0, B) on the y-axis to (A, 0) on the x-axis.  Ellipsoids
-E(a, b) are the triangles with legs a and b.  Everything here is exact
-rational arithmetic; no floats.
+E(a, b) are the triangles with legs a and b.
+
+Everything here is exact; no floats.  Coordinates come in and go out as
+``Fraction`` values, but the work runs in Python integers: a profile
+scales its vertices once, by the lcm D of their denominators, and keeps
+the integer vertices next to the Fractions.  The profile checks, the
+radial walk and the inclusion scale compare integer cross products, and
+only the scalar they return is built as a Fraction, once, at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import DegenerateRegionError
@@ -49,15 +56,70 @@ class Ellipsoid:
         }
 
 
+def _kept_vertices(pts: Sequence) -> list:
+    """Check integer points (x, y) as a profile's vertices and return the
+    indices of the vertices to keep.
+
+    Raises ``DegenerateRegionError`` unless the points run from the y-axis
+    to the x-axis with x strictly increasing, y strictly decreasing and
+    the slopes nondecreasing (a convex profile).  Convexity and
+    collinearity both come from one cross product per vertex triple: with
+    (dx1, dy1) and (dx2, dy2) the edges into and out of a vertex, its
+    slopes satisfy dy1/dx1 <= dy2/dx2 exactly when dx1*dy2 - dy1*dx2 >= 0,
+    since every dx is positive, and the vertex is collinear with its
+    neighbours, and dropped, when the product is 0.
+    """
+    n = len(pts)
+    if n < 2:
+        raise DegenerateRegionError("profile needs at least two vertices")
+    if pts[0][0] != 0:
+        raise DegenerateRegionError("first vertex must lie on the y-axis")
+    if pts[-1][1] != 0:
+        raise DegenerateRegionError("last vertex must lie on the x-axis")
+    for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
+        if x2 <= x1:
+            raise DegenerateRegionError("x-coordinates must strictly increase")
+        if y2 >= y1:
+            raise DegenerateRegionError("y-coordinates must strictly decrease")
+    if pts[0][1] <= 0 or pts[-1][0] <= 0:
+        raise DegenerateRegionError("region has zero area")
+    keep = [0]
+    for i in range(1, n - 1):
+        (x0, y0), (x1, y1), (x2, y2) = pts[i - 1], pts[i], pts[i + 1]
+        turn = (x1 - x0) * (y2 - y1) - (y1 - y0) * (x2 - x1)
+        if turn < 0:
+            raise DegenerateRegionError(
+                "profile is not convex: slopes must be nondecreasing"
+            )
+        if turn:
+            keep.append(i)
+    keep.append(n - 1)
+    return keep
+
+
+def _scaled_to_integers(pts: Sequence) -> tuple:
+    """(integer points, D): the Fraction points multiplied by D, the lcm
+    of their denominators."""
+    den = lcm(*(c.denominator for p in pts for c in p))
+    ints = [
+        (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
+        for x, y in pts
+    ]
+    return ints, den
+
+
 class MomentProfile:
     """Piecewise-linear convex boundary profile in the moment plane.
 
     Vertices are normalized on construction: exact rationals, collinear
     interior vertices removed.  Construction rejects anything that is not a
     strictly decreasing convex profile from the y-axis to the x-axis.
+    The profile also keeps its vertices scaled to integers over one common
+    denominator, for the integer arithmetic of this module and of the
+    weight expansion.
     """
 
-    __slots__ = ("vertices",)
+    __slots__ = ("vertices", "_scaled")
 
     def __init__(self, vertices: Iterable[Sequence]):
         pts = [
@@ -67,34 +129,21 @@ class MomentProfile:
             )
             for x, y in vertices
         ]
-        if len(pts) < 2:
-            raise DegenerateRegionError("profile needs at least two vertices")
-        if pts[0][0] != 0:
-            raise DegenerateRegionError("first vertex must lie on the y-axis")
-        if pts[-1][1] != 0:
-            raise DegenerateRegionError("last vertex must lie on the x-axis")
-        for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
-            if x2 <= x1:
-                raise DegenerateRegionError("x-coordinates must strictly increase")
-            if y2 >= y1:
-                raise DegenerateRegionError("y-coordinates must strictly decrease")
-        if pts[0][1] <= 0 or pts[-1][0] <= 0:
-            raise DegenerateRegionError("region has zero area")
-        slopes = [
-            (y2 - y1) / (x2 - x1) for (x1, y1), (x2, y2) in zip(pts, pts[1:])
-        ]
-        for s1, s2 in zip(slopes, slopes[1:]):
-            if s2 < s1:
-                raise DegenerateRegionError(
-                    "profile is not convex: slopes must be nondecreasing"
-                )
-        # Drop collinear interior vertices for a canonical form: a vertex is
-        # collinear with its kept neighbours exactly when the slopes on its
-        # two sides agree.
-        cleaned = [pts[0]]
-        cleaned.extend(p for p, s1, s2 in zip(pts[1:], slopes, slopes[1:]) if s1 != s2)
-        cleaned.append(pts[-1])
-        object.__setattr__(self, "vertices", tuple(cleaned))
+        ints, den = _scaled_to_integers(pts)
+        keep = _kept_vertices(ints)
+        object.__setattr__(self, "vertices", tuple(pts[i] for i in keep))
+        object.__setattr__(self, "_scaled", (tuple(ints[i] for i in keep), den))
+
+    @classmethod
+    def _from_scaled(cls, pts: Sequence, den: int) -> "MomentProfile":
+        """The profile with vertices pts / den, for integer points that
+        ``_kept_vertices`` has checked and that keep all their vertices."""
+        self = object.__new__(cls)
+        object.__setattr__(
+            self, "vertices", tuple((Fraction(x, den), Fraction(y, den)) for x, y in pts)
+        )
+        object.__setattr__(self, "_scaled", (tuple(pts), den))
+        return self
 
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("MomentProfile is immutable")
@@ -165,34 +214,44 @@ def scale(region: Region, t) -> Region:
     return MomentProfile([(x * t, y * t) for x, y in region.vertices])
 
 
-def _radials(profile: MomentProfile, directions: Sequence) -> list:
-    """radial(profile, u) for each u of ``directions``, which must be
-    nonzero first-quadrant vectors sorted by decreasing angle (from the
-    y-axis toward the x-axis, as a profile's vertices are).
+def _radials(pts: Sequence, directions: Sequence) -> list:
+    """The radial of the integer profile ``pts`` along each u of
+    ``directions``, as a pair (n, d) of positive integers with radial
+    n / d.  The directions are nonzero integer first-quadrant vectors
+    sorted by decreasing angle (from the y-axis toward the x-axis, as a
+    profile's vertices are).
 
     The boundary's segments are sorted the same way, so one pointer walks
     forward over them: it passes segment i once the ray lies clockwise of
     the segment's far end, and the ray meets the segment it stops at.  The
-    crossing is the line of that segment cut with the ray, in exact
-    arithmetic, so a whole list costs O(V + len(directions)).
+    crossing is the line of that segment cut with the ray, so a whole list
+    costs O(V + len(directions)).
     """
-    pts = profile.vertices
     last = len(pts) - 2  # index of the final segment
     i = 0
     out = []
     for ux, uy in directions:
         if uy == 0:
-            out.append(profile.x_extent / ux)
+            out.append((pts[-1][0], ux))
             continue
         if ux == 0:
-            out.append(profile.y_extent / uy)
+            out.append((pts[0][1], uy))
             continue
         while i < last and ux * pts[i + 1][1] > uy * pts[i + 1][0]:
             i += 1
         (x1, y1), (x2, y2) = pts[i], pts[i + 1]
-        c = (y2 - y1) * x1 - (x2 - x1) * y1
-        out.append(c / ((y2 - y1) * ux - (x2 - x1) * uy))
+        dx, dy = x2 - x1, y1 - y2  # both positive
+        out.append((dy * x1 + dx * y1, dy * ux + dx * uy))
     return out
+
+
+def _largest_ratio(pairs: list) -> tuple:
+    """The pair (n, d) of ``pairs`` with the largest n / d (all d > 0)."""
+    n, d = pairs[0]
+    for a, b in pairs[1:]:
+        if a * d > n * b:
+            n, d = a, b
+    return n, d
 
 
 def radial(region: Region, direction: Sequence) -> Scalar:
@@ -201,7 +260,12 @@ def radial(region: Region, direction: Sequence) -> Scalar:
     ux, uy = Fraction(direction[0]), Fraction(direction[1])
     if ux < 0 or uy < 0 or (ux == 0 and uy == 0):
         raise ValueError("direction must be a nonzero first-quadrant vector")
-    return _radials(as_profile(region), [(ux, uy)])[0]
+    pts, den = as_profile(region)._scaled
+    (u,), du = _scaled_to_integers([(ux, uy)])
+    # scaling the profile by den and the direction by du scales the radial
+    # by den / du
+    n, d = _radials(pts, [u])[0]
+    return Fraction(n * du, d * den)
 
 
 def inclusion_scale(inner: Region, outer: Region) -> Scalar:
@@ -213,9 +277,15 @@ def inclusion_scale(inner: Region, outer: Region) -> Scalar:
     radial is exactly 1, so T is the larger of the inner radials at the
     outer vertices and the reciprocal of the least outer radial at the
     inner vertices.  Each list comes from one forward walk over the other
-    profile's segments (``_radials``), since both vertex lists run by
-    decreasing angle.
+    profile's integer segments (``_radials``), since both vertex lists run
+    by decreasing angle.  With p and q scaled by dp and dq, both
+    candidates carry the factor dq / dp, so they compare by
+    cross-multiplication and T is built as a Fraction once.
     """
-    p = as_profile(inner)
-    q = as_profile(outer)
-    return max(max(_radials(p, q.vertices)), 1 / min(_radials(q, p.vertices)))
+    p, dp = as_profile(inner)._scaled
+    q, dq = as_profile(outer)._scaled
+    n1, d1 = _largest_ratio(_radials(p, q))
+    n2, d2 = _largest_ratio([(d, n) for n, d in _radials(q, p)])
+    if n2 * d1 > n1 * d2:
+        n1, d1 = n2, d2
+    return Fraction(n1 * dq, d1 * dp)

@@ -4,17 +4,19 @@ The weight expansion is the greedy ball packing of a moment region: the
 largest corner triangle conv{(0,0), (c,0), (0,c)} contributing a weight c,
 with the two leftover pieces sheared back into concave position and
 recursed.  ``realize`` inverts the recursion, gluing triangles back
-together so that ``weight_expansion(realize(w)) == w`` exactly.
+together so that ``weight_expansion(realize(w)) == w`` exactly.  Both run
+in Python integers over one common denominator and return Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import NonterminationError, RealizationLimitError
-from .geometry import Ellipsoid, MomentProfile
+from .geometry import Ellipsoid, MomentProfile, _kept_vertices
 from .scalars import Scalar, format_rational, parse_rational
 
 DEFAULT_STEP_LIMIT = 10**6
@@ -133,44 +135,34 @@ def ellipsoid_weights(e: Ellipsoid) -> WeightMultiset:
     return WeightMultiset(entries)
 
 
-def _split(profile: MomentProfile, c: Fraction, sums: list):
-    """Leftover regions after removing the corner triangle of size c,
-    sheared into concave position, with ``sums`` the x + y of each vertex.
-    Returns (upper, lower), either None."""
-    verts = profile.vertices
+def _split(pts: list, c: int, sums: list):
+    """Leftover regions after removing the corner triangle of size c from
+    the integer profile ``pts``, sheared into concave position and checked
+    as profiles, with ``sums`` the x + y of each vertex.  Returns (upper,
+    lower) as integer vertex lists, either None.
 
-    # Upper piece: boundary up to the first point where x + y == c, then
-    # the shear (x, y) -> (x, x + y - c) puts it against the axes.
-    upper_pts = []
-    for i, (x, y) in enumerate(verts):
-        if sums[i] > c:
-            upper_pts.append((x, sums[i] - c))
-        else:
-            if i > 0:
-                # First touch may be interior to the segment ending here:
-                # solve x + f(x) = c on it.
-                x1, y1 = verts[i - 1]
-                t = (c - sums[i - 1]) / (sums[i] - sums[i - 1])
-                upper_pts.append((x1 + t * (x - x1), Fraction(0)))
-            break
-    upper = MomentProfile(upper_pts) if len(upper_pts) >= 2 else None
-
-    # Lower piece: boundary from the last point with x + y == c, sheared by
-    # (x, y) -> (x + y - c, y).
-    lower_pts = []
-    for i in range(len(verts) - 1, -1, -1):
-        x, y = verts[i]
-        if sums[i] > c:
-            lower_pts.append((sums[i] - c, y))
-        else:
-            if i < len(verts) - 1:
-                y2 = verts[i + 1][1]
-                t = (c - sums[i]) / (sums[i + 1] - sums[i])
-                lower_pts.append((Fraction(0), y + t * (y2 - y)))
-            break
-    lower_pts.reverse()
-    lower = MomentProfile(lower_pts) if len(lower_pts) >= 2 else None
+    c is the least of ``sums``, so the first and the last vertex with
+    x + y <= c have x + y == c: the boundary touches the triangle's
+    hypotenuse at vertices, never inside a segment.  The upper piece is
+    the boundary up to the first touch, sheared by (x, y) -> (x, x + y - c);
+    the lower piece runs from the last touch, sheared by
+    (x, y) -> (x + y - c, y).  Each touching vertex lands on an axis.
+    """
+    first = sums.index(c)
+    last = len(sums) - 1 - sums[::-1].index(c)
+    upper = lower = None
+    if first > 0:
+        upper = _checked([(x, s - c) for (x, _), s in zip(pts[: first + 1], sums)])
+    if last < len(pts) - 1:
+        lower = _checked([(s - c, y) for (_, y), s in zip(pts[last:], sums[last:])])
     return upper, lower
+
+
+def _checked(pts: list) -> list:
+    """The integer points checked as a profile, with collinear interior
+    vertices dropped as ``MomentProfile`` drops them."""
+    keep = _kept_vertices(pts)
+    return pts if len(keep) == len(pts) else [pts[i] for i in keep]
 
 
 def weight_expansion(
@@ -178,54 +170,57 @@ def weight_expansion(
 ) -> tuple[WeightMultiset, ExpansionTrace]:
     """Greedy weight expansion; exact, with a step guard.
 
-    Uses an explicit work stack; the y-axis leftover is pushed so that it is
-    processed first, making the trace deterministic.
+    Runs on the profile's vertices scaled to integers over one common
+    denominator D: the shears are integer-linear and every touch point is
+    a vertex (see ``_split``), so every leftover piece has integer
+    vertices over the same D, and each size is returned as Fraction(c, D).
+    Uses an explicit work stack; the y-axis leftover is pushed so that it
+    is processed first, making the trace deterministic.
     """
-    entries: list[tuple[Fraction, int]] = []
+    pts, den = profile._scaled
+    counts: dict[int, int] = {}
     root = ExpansionTrace(size=Fraction(0))
-    stack = [(profile, root, "root")]
+    stack = [(pts, root, "root")]
     steps = 0
     while stack:
-        region, parent, label = stack.pop()
+        pts, parent, label = stack.pop()
         steps += 1
         if steps > step_limit:
             raise NonterminationError(
                 f"weight expansion exceeded {step_limit} steps; "
-                f"residual region {region!r}"
+                f"residual region {MomentProfile._from_scaled(pts, den)!r}"
             )
-        if len(region.vertices) == 2:
+        if len(pts) == 2:
             # Triangular residual: the rest of the expansion is the
             # Euclidean-quotient chain, emitted run by run.
-            x, y = region.x_extent, region.y_extent
+            x, y = pts[1][0], pts[0][1]
             while x > 0 and y > 0:
                 if y >= x:
                     c, side = x, "upper"
-                    q, r = divmod(y, x)
-                    x, y = x, r
+                    q, y = divmod(y, x)
                 else:
                     c, side = y, "lower"
-                    q, r = divmod(x, y)
-                    x, y = r, y
-                node = ExpansionTrace(size=c, repeat=int(q))
+                    q, x = divmod(x, y)
+                node = ExpansionTrace(size=Fraction(c, den), repeat=q)
                 parent.children.append((label, node))
-                entries.append((c, int(q)))
+                counts[c] = counts.get(c, 0) + q
                 parent, label = node, side
             continue
         # The head weight is the largest c with the triangle of size c
         # inside the region: the minimum of x + y over the boundary
         # polyline, attained at a vertex.
-        sums = [x + y for x, y in region.vertices]
+        sums = [x + y for x, y in pts]
         c = min(sums)
-        node = ExpansionTrace(size=c)
+        node = ExpansionTrace(size=Fraction(c, den))
         parent.children.append((label, node))
-        entries.append((c, 1))
-        upper, lower = _split(region, c, sums)
+        counts[c] = counts.get(c, 0) + 1
+        upper, lower = _split(pts, c, sums)
         if lower is not None:
             stack.append((lower, node, "lower"))
         if upper is not None:
             stack.append((upper, node, "upper"))
     trace = root.children[0][1]
-    return WeightMultiset(entries), trace
+    return WeightMultiset((Fraction(c, den), m) for c, m in counts.items()), trace
 
 
 def realize(
@@ -235,28 +230,34 @@ def realize(
 
     Built smallest-weight-first: each step glues the current realization
     into the upper corner of the next triangle via the inverse shear
-    (x, y) -> (x, y - x + c).
+    (x, y) -> (x, y - x + c).  The gluing runs in integers over the lcm D
+    of the weights' denominators, since the shears are integer-linear in
+    the weights; each step's vertices are checked as a profile, and one
+    ``MomentProfile`` is built from them at the end.
     """
     if len(w) > realization_limit:
         raise RealizationLimitError(
             f"{len(w)} distinct weights exceed the explicit-realization "
             f"limit {realization_limit}; work with the weight multiset directly"
         )
-    profile: MomentProfile | None = None
+    if not w.entries:
+        raise ValueError("cannot realize an empty weight multiset")
+    den = lcm(*(weight.denominator for weight, _ in w.entries))
+    pts: list = []
     for weight, mult in reversed(w.entries):
-        if profile is None:
+        a = weight.numerator * (den // weight.denominator)
+        if not pts:
             # A run of m equal weights from scratch is the triangle with
             # legs (a, m*a).
-            profile = MomentProfile([(0, mult * weight), (weight, 0)])
+            pts = _checked([(0, mult * a), (a, 0)])
             continue
         # Glue the first copy of the run, then apply the remaining m - 1
         # shears in one step: once the x-extent equals the weight, each
-        # further glue is exactly (x, y) -> (x, y - x + weight).
-        pts = [(x, y - x + weight) for x, y in profile.vertices]
-        if pts[-1][0] < weight:
-            pts.append((weight, Fraction(0)))
+        # further glue is exactly (x, y) -> (x, y - x + a).
+        pts = [(x, y - x + a) for x, y in pts]
+        if pts[-1][0] < a:
+            pts.append((a, 0))
         if mult > 1:
-            pts = [(x, y - (mult - 1) * (x - weight)) for x, y in pts]
-        profile = MomentProfile(pts)
-    assert profile is not None
-    return profile
+            pts = [(x, y - (mult - 1) * (x - a)) for x, y in pts]
+        pts = _checked(pts)
+    return MomentProfile._from_scaled(pts, den)

@@ -237,6 +237,15 @@ def test_weights_and_realize(ellipsoid_file, capsys):
     assert doc["type"] == "profile"
 
 
+def test_realize_empty_multiset(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text('{"type": "weights", "entries": []}')
+    assert main(["realize", "--domain", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot realize an empty weight multiset\n"
+
+
 def test_build_flat(capsys):
     assert main(["build-flat", "--params", "64,4096"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -320,6 +329,12 @@ def test_notsame_kmax_zero(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: notsame needs --kmax >= 1\n"
+
+
+def test_run_notsame_kmax_zero():
+    """The library refuses the empty range too, not only the CLI."""
+    with pytest.raises(ValueError, match=r"^notsame needs k_max >= 1$"):
+        run_notsame(ExperimentConfig(k_max=0))
 
 
 def test_ched_kmax_zero(tmp_path, capsys):
