@@ -50,6 +50,13 @@ def _emit(doc, out: str | None, name: str):
         sys.stdout.write(text)
 
 
+def _csv_sink(out: str | None, name: str):
+    """The CSV file ``name`` in directory ``out``, or standard output."""
+    if out:
+        return open(Path(out) / name, "w", newline="")
+    return contextlib.nullcontext(sys.stdout)
+
+
 def _load_weights(domain) -> WeightMultiset:
     if isinstance(domain, WeightMultiset):
         return domain
@@ -74,6 +81,8 @@ def _capacity_domain(path):
 def cmd_capacity(args) -> int:
     if args.k is None and args.kmax is None:
         raise EchcapError("capacity needs --k or --kmax")
+    if args.k is not None and args.kmax is not None:
+        raise EchcapError("capacity takes --k or --kmax, not both")
     k_max = args.k if args.kmax is None else args.kmax
     profile = CapacityProfile(_capacity_domain(args.domain), k_max, args.oracle_limit)
     if args.kmax is not None:
@@ -82,9 +91,10 @@ def cmd_capacity(args) -> int:
             lo, hi = profile.interval(k)
             gap = format(float(relative_gap(lo, hi)), ".12g")
             rows.append((k, lo.numerator, lo.denominator, int(lo == hi), gap))
-        writer = csv.writer(sys.stdout)
-        writer.writerow(("k", "c_k_num", "c_k_den", "exact", "gap"))
-        writer.writerows(rows)
+        with _csv_sink(args.out, "capacity.csv") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(("k", "c_k_num", "c_k_den", "exact", "gap"))
+            writer.writerows(rows)
         return 0
     lo, hi = profile.interval(args.k)
     _emit(
@@ -148,12 +158,7 @@ def cmd_chart(args) -> int:
                     rows.append([Fraction(c) for c in row])
     else:
         rows = [[parse_rational(c) for c in args.x.split(",")]]
-    sink = (
-        open(Path(args.out) / "chart.csv", "w", newline="")
-        if args.out
-        else contextlib.nullcontext(sys.stdout)
-    )
-    with sink as fh:
+    with _csv_sink(args.out, "chart.csv") as fh:
         writer = csv.writer(fh)
         writer.writerow(("x", "y_stage", "b_stage", "snap_error"))
         for point in rows:

@@ -3,14 +3,16 @@
 The weight expansion is the greedy ball packing of a moment region: the
 largest corner triangle conv{(0,0), (c,0), (0,c)} contributing a weight c,
 with the two leftover pieces sheared back into concave position and
-recursed.  ``realize`` inverts the recursion, gluing triangles back
-together so that ``weight_expansion(realize(w)) == w`` exactly.  Both run
-in Python integers over one common denominator and return Fractions.
+recursed.  A run of equal weights is one step: when c is an extent of
+the region, taking the triangle shears the whole region, and the step
+takes c as many times as those shears leave it the head weight.
+``realize`` inverts the recursion, gluing each run of triangles back in
+one shear, so that ``weight_expansion(realize(w))[0] == w`` exactly.  Both run in Python
+integers over one common denominator and return Fractions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
@@ -99,30 +101,6 @@ class WeightMultiset:
         )
 
 
-@dataclass
-class ExpansionTrace:
-    """One greedy step: the corner triangle size and the sheared children.
-
-    ``children`` holds (shear label, subtrace) pairs; the y-axis leftover
-    ("upper") is always recursed before the x-axis one ("lower").
-    ``repeat`` > 1 records a run of identical steps on triangular residuals
-    (the Euclidean-quotient chain), bulked for speed.
-    """
-
-    size: Scalar
-    children: list = field(default_factory=list)
-    repeat: int = 1
-
-    def leaf_sizes(self) -> list:
-        out = [self.size] * self.repeat
-        for _, child in self.children:
-            out.extend(child.leaf_sizes())
-        return out
-
-    def depth(self) -> int:
-        return 1 + max((child.depth() for _, child in self.children), default=0)
-
-
 def ellipsoid_weights(e: Ellipsoid) -> WeightMultiset:
     """Weight sequence of E(a, b) by the Euclidean quotient recursion:
     w(a, b) = {a x floor(b/a)} then recurse on (b mod a, a)."""
@@ -135,11 +113,16 @@ def ellipsoid_weights(e: Ellipsoid) -> WeightMultiset:
     return WeightMultiset(entries)
 
 
-def _split(pts: list, c: int, sums: list):
-    """Leftover regions after removing the corner triangle of size c from
-    the integer profile ``pts``, sheared into concave position and checked
-    as profiles, with ``sums`` the x + y of each vertex.  Returns (upper,
-    lower) as integer vertex lists, either None.
+def _split(pts: list, c: int, sums: list, q: int):
+    """Leftover regions after removing the corner triangle of size c, q
+    times in a row, from the integer profile ``pts``, sheared into concave
+    position and checked as profiles, with ``sums`` the x + y of each
+    vertex.  Returns (upper, lower) as integer vertex lists, either None.
+
+    q > 1 only when c is the x-extent or the y-extent.  Then the first
+    q - 1 triangles shear the whole region, by (x, y) -> (x, y - (c - x))
+    or (x, y) -> (x - (c - y), y), and leave c its least x + y; the last
+    one is an ordinary split.
 
     c is the least of ``sums``, so the first and the last vertex with
     x + y <= c have x + y == c: the boundary touches the triangle's
@@ -148,6 +131,12 @@ def _split(pts: list, c: int, sums: list):
     the lower piece runs from the last touch, sheared by
     (x, y) -> (x + y - c, y).  Each touching vertex lands on an axis.
     """
+    if q > 1:
+        if sums[-1] == c:
+            pts = [(x, y - (q - 1) * (c - x)) for x, y in pts]
+        else:
+            pts = [(x - (q - 1) * (c - y), y) for x, y in pts]
+        sums = [x + y for x, y in pts]
     first = sums.index(c)
     last = len(sums) - 1 - sums[::-1].index(c)
     upper = lower = None
@@ -167,60 +156,59 @@ def _checked(pts: list) -> list:
 
 def weight_expansion(
     profile: MomentProfile, step_limit: int = DEFAULT_STEP_LIMIT
-) -> tuple[WeightMultiset, ExpansionTrace]:
+) -> tuple[WeightMultiset, int]:
     """Greedy weight expansion; exact, with a step guard.
+
+    Returns the weights and the number of steps taken.  A step takes a
+    whole run of equal head weights c = min(x + y).  When c is the
+    x-extent, taking the triangle shears the region by
+    (x, y) -> (x, y - (c - x)), which leaves vertex i with
+    x + y = s_i - (c - x_i), so c is taken q = 1 + min ⌊(s_i - c)/(c - x_i)⌋
+    times, over the vertices before the last.  By convexity that minimum
+    is at the vertex (x, y) before the last, where it gives
+    q = ⌊y/(c - x)⌋.  The same holds with x and y swapped when c is the
+    y-extent, and q = 1 otherwise.  On a triangle q is the Euclidean
+    quotient.
 
     Runs on the profile's vertices scaled to integers over one common
     denominator D: the shears are integer-linear and every touch point is
     a vertex (see ``_split``), so every leftover piece has integer
     vertices over the same D, and each size is returned as Fraction(c, D).
     Uses an explicit work stack; the y-axis leftover is pushed so that it
-    is processed first, making the trace deterministic.
+    is processed first.
     """
     pts, den = profile._scaled
     counts: dict[int, int] = {}
-    root = ExpansionTrace(size=Fraction(0))
-    stack = [(pts, root, "root")]
+    stack = [pts]
     steps = 0
     while stack:
-        pts, parent, label = stack.pop()
+        pts = stack.pop()
         steps += 1
         if steps > step_limit:
             raise NonterminationError(
                 f"weight expansion exceeded {step_limit} steps; "
                 f"residual region {MomentProfile._from_scaled(pts, den)!r}"
             )
-        if len(pts) == 2:
-            # Triangular residual: the rest of the expansion is the
-            # Euclidean-quotient chain, emitted run by run.
-            x, y = pts[1][0], pts[0][1]
-            while x > 0 and y > 0:
-                if y >= x:
-                    c, side = x, "upper"
-                    q, y = divmod(y, x)
-                else:
-                    c, side = y, "lower"
-                    q, x = divmod(x, y)
-                node = ExpansionTrace(size=Fraction(c, den), repeat=q)
-                parent.children.append((label, node))
-                counts[c] = counts.get(c, 0) + q
-                parent, label = node, side
-            continue
         # The head weight is the largest c with the triangle of size c
         # inside the region: the minimum of x + y over the boundary
         # polyline, attained at a vertex.
         sums = [x + y for x, y in pts]
         c = min(sums)
-        node = ExpansionTrace(size=Fraction(c, den))
-        parent.children.append((label, node))
-        counts[c] = counts.get(c, 0) + 1
-        upper, lower = _split(pts, c, sums)
+        if sums[-1] == c:
+            x, y = pts[-2]
+            q = y // (c - x)
+        elif sums[0] == c:
+            x, y = pts[1]
+            q = x // (c - y)
+        else:
+            q = 1
+        counts[c] = counts.get(c, 0) + q
+        upper, lower = _split(pts, c, sums, q)
         if lower is not None:
-            stack.append((lower, node, "lower"))
+            stack.append(lower)
         if upper is not None:
-            stack.append((upper, node, "upper"))
-    trace = root.children[0][1]
-    return WeightMultiset((Fraction(c, den), m) for c, m in counts.items()), trace
+            stack.append(upper)
+    return WeightMultiset((Fraction(c, den), m) for c, m in counts.items()), steps
 
 
 def realize(
@@ -228,12 +216,14 @@ def realize(
 ) -> MomentProfile:
     """A connected concave toric domain whose weight expansion is exactly w.
 
-    Built smallest-weight-first: each step glues the current realization
-    into the upper corner of the next triangle via the inverse shear
-    (x, y) -> (x, y - x + c).  The gluing runs in integers over the lcm D
-    of the weights' denominators, since the shears are integer-linear in
-    the weights; each step's vertices are checked as a profile, and one
-    ``MomentProfile`` is built from them at the end.
+    Built smallest-weight-first: each run of m copies of a weight a
+    glues the current realization into the upper corner of the triangle
+    with legs (a, m*a) via the single inverse shear
+    (x, y) -> (x, y + m*(a - x)), and closes it off with the vertex (a, 0).
+    The gluing runs in integers over the lcm D of the weights'
+    denominators, since the shears are integer-linear in the weights; each
+    step's vertices are checked as a profile, and one ``MomentProfile`` is
+    built from them at the end.
     """
     if len(w) > realization_limit:
         raise RealizationLimitError(
@@ -243,21 +233,9 @@ def realize(
     if not w.entries:
         raise ValueError("cannot realize an empty weight multiset")
     den = lcm(*(weight.denominator for weight, _ in w.entries))
-    pts: list = []
+    # Gluing onto the single point (0, 0) gives the first run's triangle.
+    pts = [(0, 0)]
     for weight, mult in reversed(w.entries):
         a = weight.numerator * (den // weight.denominator)
-        if not pts:
-            # A run of m equal weights from scratch is the triangle with
-            # legs (a, m*a).
-            pts = _checked([(0, mult * a), (a, 0)])
-            continue
-        # Glue the first copy of the run, then apply the remaining m - 1
-        # shears in one step: once the x-extent equals the weight, each
-        # further glue is exactly (x, y) -> (x, y - x + a).
-        pts = [(x, y - x + a) for x, y in pts]
-        if pts[-1][0] < a:
-            pts.append((a, 0))
-        if mult > 1:
-            pts = [(x, y - (mult - 1) * (x - a)) for x, y in pts]
-        pts = _checked(pts)
+        pts = _checked([(x, y + mult * (a - x)) for x, y in pts] + [(a, 0)])
     return MomentProfile._from_scaled(pts, den)

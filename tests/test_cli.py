@@ -22,7 +22,7 @@ from echcap.experiments import (
     run_notsame,
 )
 from echcap.geometry import Ellipsoid, MomentProfile
-from echcap.quasiflat import ParameterVector, build_weights
+from echcap.quasiflat import ParameterVector, build_domain, build_weights
 from echcap.weights import WeightMultiset
 
 
@@ -76,6 +76,36 @@ def test_capacity_sweep_csv(ellipsoid_file, capsys):
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
     assert rows[0] == ["k", "c_k_num", "c_k_den", "exact", "gap"]
     assert [r[1] for r in rows[1:]] == ["0", "1", "2", "2", "3"]
+
+
+def test_capacity_sweep_out_file(ellipsoid_file, tmp_path, capsys):
+    assert main(["capacity", "--domain", ellipsoid_file, "--kmax", "4", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == ""
+    rows = list(csv.reader(io.StringIO((tmp_path / "capacity.csv").read_text())))
+    assert rows[0] == ["k", "c_k_num", "c_k_den", "exact", "gap"]
+    assert [r[1] for r in rows[1:]] == ["0", "1", "2", "2", "3"]
+
+
+def test_capacity_k_and_kmax(ball_file, capsys):
+    assert main(["capacity", "--domain", ball_file, "--k", "5", "--kmax", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: capacity takes --k or --kmax, not both\n"
+
+
+def test_capacity_of_quasiflat_profile(tmp_path, capsys):
+    """The explicit profile of (1024, 1024^2) has 2^20 and 2^60 copies of
+    its two weights; its capacity is the quasi-flat file's."""
+    flat = tmp_path / "flat.json"
+    profile = tmp_path / "profile.json"
+    save_domain(ParameterVector([1024, 1024**2]), flat)
+    save_domain(build_domain(ParameterVector([1024, 1024**2])), profile)
+    docs = []
+    for path in (profile, flat):
+        assert main(["capacity", "--domain", str(path), "--k", "100000"]) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    assert docs[0] == docs[1]
+    assert Fraction(docs[0]["value"]) == 3125 and docs[0]["exact"]
 
 
 @pytest.mark.parametrize("domain", ["ball_file", "ellipsoid_file", "weights_file"])

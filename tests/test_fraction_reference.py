@@ -3,9 +3,11 @@
 The reference functions below are the moment-profile checks, the greedy
 weight expansion, ``realize`` and the radial walk written directly in
 ``fractions.Fraction`` arithmetic, with the expansion's split
-interpolating the touch point along a segment.  The package computes the
-same things in integers over one common denominator; every result must
-be equal, with the same Fraction values, and pickle to the same bytes.
+interpolating the touch point along a segment and taking one copy of a
+weight per step, except on triangles.  The package computes the same
+things in integers over one common denominator, a run of equal weights
+per step; every result must be equal, with the same Fraction values, and
+pickle to the same bytes.
 """
 
 import pickle
@@ -16,7 +18,7 @@ import pytest
 
 from echcap.errors import DegenerateRegionError, NonterminationError
 from echcap.geometry import Ellipsoid, MomentProfile, inclusion_scale, radial
-from echcap.weights import ExpansionTrace, WeightMultiset, realize, weight_expansion
+from echcap.weights import WeightMultiset, realize, weight_expansion
 
 
 def ref_vertices(vertices):
@@ -90,11 +92,10 @@ def ref_split(verts, c, sums):
 
 def ref_weight_expansion(verts, step_limit=10**6):
     entries = []
-    root = ExpansionTrace(size=Fraction(0))
-    stack = [(tuple(verts), root, "root")]
+    stack = [tuple(verts)]
     steps = 0
     while stack:
-        region, parent, label = stack.pop()
+        region = stack.pop()
         steps += 1
         if steps > step_limit:
             raise NonterminationError(region)
@@ -102,27 +103,22 @@ def ref_weight_expansion(verts, step_limit=10**6):
             x, y = region[-1][0], region[0][1]
             while x > 0 and y > 0:
                 if y >= x:
-                    c, side = x, "upper"
+                    c = x
                     q, y = divmod(y, x)
                 else:
-                    c, side = y, "lower"
+                    c = y
                     q, x = divmod(x, y)
-                node = ExpansionTrace(size=c, repeat=int(q))
-                parent.children.append((label, node))
                 entries.append((c, int(q)))
-                parent, label = node, side
             continue
         sums = [x + y for x, y in region]
         c = min(sums)
-        node = ExpansionTrace(size=c)
-        parent.children.append((label, node))
         entries.append((c, 1))
         upper, lower = ref_split(region, c, sums)
         if lower is not None:
-            stack.append((lower, node, "lower"))
+            stack.append(lower)
         if upper is not None:
-            stack.append((upper, node, "upper"))
-    return WeightMultiset(entries), root.children[0][1]
+            stack.append(upper)
+    return WeightMultiset(entries)
 
 
 def ref_radial(verts, u):
@@ -164,10 +160,6 @@ def random_multiset(rng):
     return WeightMultiset(entries.items())
 
 
-def all_fractions(trace):
-    return type(trace.size) is Fraction and all(all_fractions(t) for _, t in trace.children)
-
-
 def test_realize_and_expansion_match_the_reference():
     rng = random.Random(2014)
     for _ in range(150):
@@ -178,13 +170,27 @@ def test_realize_and_expansion_match_the_reference():
         assert pickle.dumps(p.vertices) == pickle.dumps(expected)
         assert all(type(c) is Fraction for v in p.vertices for c in v)
 
-        got = weight_expansion(p)
+        got, _ = weight_expansion(p)
         want = ref_weight_expansion(expected)
-        assert got[0] == want[0] == w
-        assert got[1] == want[1]
+        assert got == want == w
         assert pickle.dumps(got) == pickle.dumps(want)
-        assert all(type(a) is Fraction for a, _ in got[0].entries)
-        assert all_fractions(got[1])
+        assert all(type(a) is Fraction for a, _ in got.entries)
+
+
+def test_huge_runs_of_every_class_match_realize_input():
+    """Copy counts the one-copy-per-step reference cannot reach, on any
+    class: the realization matches the reference and the expansion gives
+    back realize's input."""
+    rng = random.Random(2015)
+    for _ in range(150):
+        w = WeightMultiset(
+            (weight, 10 ** rng.randint(0, 12)) for weight, _ in random_multiset(rng)
+        )
+        p = realize(w)
+        assert p.vertices == ref_realize(w)
+        got, steps = weight_expansion(p, step_limit=len(w))
+        assert got == w and steps == len(w)
+        assert pickle.loads(pickle.dumps(got)) == w
 
 
 def test_expansion_of_random_profiles_matches_the_reference():
@@ -197,7 +203,7 @@ def test_expansion_of_random_profiles_matches_the_reference():
         else:
             t = random_weight(rng)
             p = MomentProfile([(x * t, y * t) for x, y in realize(random_multiset(rng)).vertices])
-        got = weight_expansion(p)
+        got, _ = weight_expansion(p)
         want = ref_weight_expansion(p.vertices)
         assert got == want
         assert pickle.dumps(got) == pickle.dumps(want)
@@ -276,8 +282,8 @@ def test_step_limit_names_the_residual_region():
         weight_expansion(p, step_limit=1)
     # the first step takes the head triangle; the second pops the upper
     # leftover, sheared against the axes
-    _, trace = weight_expansion(p)
-    upper = ref_split(p.vertices, trace.size, [x + y for x, y in p.vertices])[0]
+    sums = [x + y for x, y in p.vertices]
+    upper = ref_split(p.vertices, min(sums), sums)[0]
     residual = MomentProfile(upper)
     assert str(err.value) == f"weight expansion exceeded 1 steps; residual region {residual!r}"
     with pytest.raises(NonterminationError) as err:

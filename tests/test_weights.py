@@ -7,6 +7,7 @@ import pytest
 
 from echcap.errors import RealizationLimitError
 from echcap.geometry import Ellipsoid, MomentProfile, area
+from echcap.quasiflat import ParameterVector, build_weights
 from echcap.weights import (
     WeightMultiset,
     ellipsoid_weights,
@@ -60,22 +61,45 @@ def test_ellipsoid_weights_preserve_area():
 
 
 def test_expansion_matches_euclid_on_ellipsoids():
+    """One step per run: on E(a, b) the expansion takes as many steps as
+    the Euclidean quotient chain has quotients."""
     rng = random.Random(20240901)
     for _ in range(50):
         a = Fraction(rng.randint(1, 30), rng.randint(1, 30))
         b = Fraction(rng.randint(1, 30), rng.randint(1, 30))
         e = Ellipsoid(a, b)
-        expanded, trace = weight_expansion(e.profile())
+        expanded, steps = weight_expansion(e.profile())
         assert expanded == ellipsoid_weights(e)
-        assert sorted(trace.leaf_sizes(), reverse=True) == [
-            w for w, m in expanded.entries for _ in range(m)
-        ]
+        assert steps == len(ellipsoid_weights(e))
 
 
 def test_expansion_of_ball():
-    w, trace = weight_expansion(Ellipsoid.ball(3).profile())
+    w, steps = weight_expansion(Ellipsoid.ball(3).profile())
     assert w.entries == ((Fraction(3), 1),)
-    assert trace.size == 3 and trace.depth() == 1
+    assert steps == 1
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        WeightMultiset([(3, 2), (Fraction(2, 3), 10**6), (Fraction(1, 7), 5)]),
+        build_weights(ParameterVector([1024, 1024**2])),
+    ],
+    ids=["middle-run", "quasiflat-1024"],
+)
+def test_runs_of_any_class_take_one_step(w):
+    """A run of copies of a weight that is not the smallest is one step,
+    not one step per copy."""
+    back, steps = weight_expansion(realize(w), step_limit=10)
+    assert back == w
+    assert steps == len(w)
+
+
+def test_expansion_of_many_distinct_weights():
+    w = WeightMultiset((n, 1) for n in range(1, 2001))
+    result = weight_expansion(realize(w))
+    assert result[0] == w
+    assert pickle.loads(pickle.dumps(result)) == result
 
 
 def test_realize_single_class_is_triangle():
