@@ -27,7 +27,9 @@ from .geometry import Ellipsoid, MomentProfile, area
 from .scalars import Scalar
 from .weights import WeightMultiset, weight_expansion
 
-DEFAULT_ORACLE_LIMIT = 4 * 10**5  # on the DP budget 2k
+# The largest DP budget 2k of the oracle and the sweep, so CapacityProfile
+# sweeps c_k up to k = 2 * 10**5 and asks the exact engine above that
+DEFAULT_ORACLE_LIMIT = 4 * 10**5
 
 
 @dataclass(frozen=True)
@@ -186,24 +188,28 @@ def _witness_result(classes: _ScaledClasses, best: int, upper: int, units, k: in
     return CapacityResult(lo, Fraction(upper, classes.denominator), best == upper, witness)
 
 
+def _full_dp(w: WeightMultiset, k: int, oracle_limit: int, keep: bool) -> tuple:
+    """The budget DP over every unit of every class, run in half-units over
+    0..k: (classes, windows, dp, history), the history kept iff ``keep``."""
+    if k < 0:
+        raise ValueError("capacity index must be >= 0")
+    if 2 * k > oracle_limit:
+        raise ResourceLimitError(
+            f"DP budget {2 * k} exceeds the oracle limit {oracle_limit}"
+        )
+    classes = _ScaledClasses(w)
+    windows = [(0, k)] * len(classes)
+    plans = tier_plans(classes.scaled, classes.copies, k, windows)
+    return (classes, windows, *tier_dp(plans, k, keep=keep))
+
+
 def multiset_capacity_oracle(
     w: WeightMultiset, k: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT
 ) -> CapacityResult:
     """Exact optimum of the weight formulation by dynamic programming up to
     the budget 2k (run in half-units, over 0..k), with the optimizing
     assignment as witness."""
-    budget = 2 * k
-    if budget > oracle_limit:
-        raise ResourceLimitError(
-            f"DP budget {budget} exceeds the oracle limit {oracle_limit}; "
-            "use multiset_capacity_fast"
-        )
-    if k < 0:
-        raise ValueError("capacity index must be >= 0")
-    classes = _ScaledClasses(w)
-    windows = [(0, k)] * len(classes)
-    plans = tier_plans(classes.scaled, classes.copies, k, windows)
-    dp, history = tier_dp(plans, k, keep=True)
+    classes, windows, dp, history = _full_dp(w, k, oracle_limit, keep=True)
     units = backtrack(classes.scaled, classes.copies, history, windows, k)
     return _witness_result(classes, int(dp[k]), int(dp[k]), units, k)
 
@@ -214,17 +220,7 @@ def multiset_capacity_table(
     """One DP sweep up to the budget 2*k_max, run in half-units:
     (dp, denominator) with c_k = dp[k] / denominator for every k in
     0..k_max."""
-    if k_max < 0:
-        raise ValueError("capacity index must be >= 0")
-    budget = 2 * k_max
-    if budget > oracle_limit:
-        raise ResourceLimitError(
-            f"DP budget {budget} exceeds the oracle limit {oracle_limit}"
-        )
-    classes = _ScaledClasses(w)
-    windows = [(0, k_max)] * len(classes)
-    plans = tier_plans(classes.scaled, classes.copies, k_max, windows)
-    dp, _ = tier_dp(plans, k_max, keep=False)
+    classes, _, dp, _ = _full_dp(w, k_max, oracle_limit, keep=False)
     return dp, classes.denominator
 
 
@@ -479,13 +475,11 @@ def domain_volume(domain) -> Scalar:
     raise TypeError(f"unsupported domain type {type(domain)!r}")
 
 
-def weyl_ratio(domain, k: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> Scalar:
+def weyl_ratio(domain, k: int) -> Scalar:
     """c_k^2 / (4 k vol), an exact rational converging to 1 as k grows."""
     if k <= 0:
         raise ValueError("Weyl ratio is undefined at k = 0")
-    lo, hi = CapacityProfile(domain, k, oracle_limit).interval(k)
+    lo, hi = CapacityProfile(domain, k).interval(k)
     if lo != hi:
-        raise ResourceLimitError(
-            f"c_{k} is only known as an interval at oracle limit {oracle_limit}"
-        )
+        raise ResourceLimitError(f"c_{k} is only known as an interval")
     return lo * lo / (4 * k * domain_volume(domain))

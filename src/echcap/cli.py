@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .capacities import DEFAULT_ORACLE_LIMIT, CapacityProfile, relative_gap, weyl_ratio
+from .capacities import CapacityProfile, relative_gap, weyl_ratio
 from .distance import DEFAULT_K_CAP, certificate, distance_report
 from .domainfile import load_domain, to_document
 from .errors import EchcapError
@@ -84,7 +84,7 @@ def cmd_capacity(args) -> int:
     if args.k is not None and args.kmax is not None:
         raise EchcapError("capacity takes --k or --kmax, not both")
     k_max = args.k if args.kmax is None else args.kmax
-    profile = CapacityProfile(_capacity_domain(args.domain), k_max, args.oracle_limit)
+    profile = CapacityProfile(_capacity_domain(args.domain), k_max)
     if args.kmax is not None:
         rows = []
         for k in range(args.kmax + 1):
@@ -126,7 +126,6 @@ def cmd_realize(args) -> int:
 def cmd_build_flat(args) -> int:
     v = _parse_params(args.params)
     record = validate_parameters(v, threshold=Fraction(args.threshold))
-    weights = build_weights(v)
     doc = {
         "params": [format_rational(b) for b in v.B],
         "admissible": record.admissible,
@@ -137,12 +136,14 @@ def cmd_build_flat(args) -> int:
             "integral_powers": list(record.integral_powers),
             "exact_mode": list(record.exact_mode),
         },
-        "weights": to_document(weights),
+        "weights": None,
+        "profile": None,
     }
-    try:
-        doc["profile"] = to_document(build_domain(v))
-    except EchcapError:
-        doc["profile"] = None
+    # without exact weights there is no profile either
+    with contextlib.suppress(EchcapError):
+        weights = build_weights(v)
+        doc["weights"] = to_document(weights)
+        doc["profile"] = to_document(realize(weights))
     _emit(doc, args.out, "quasiflat.json")
     return 0
 
@@ -183,12 +184,10 @@ def cmd_distance(args) -> int:
     params = None
     if isinstance(u, ParameterVector) and isinstance(v, ParameterVector):
         params = (u, v)
-        u, v = build_weights(u), build_weights(v)
+        u, v = build_domain(u), build_domain(v)
     if isinstance(u, ParameterVector) or isinstance(v, ParameterVector):
         raise EchcapError("distance needs two comparable domains")
-    report = distance_report(
-        u, v, args.kmax, parameters=params, oracle_limit=args.oracle_limit
-    )
+    report = distance_report(u, v, args.kmax, parameters=params)
     doc = {
         "lower_capacity": report.lower_capacity,
         "capacity_witness_k": report.capacity_witness_k,
@@ -211,16 +210,16 @@ def cmd_distance(args) -> int:
     return 0 if report.consistent else 1
 
 
+def _float_cell(x) -> str:
+    """A CSV cell for a float, empty where a skipped pair has no value."""
+    return "" if x is None else format(x, ".12g")
+
+
 def cmd_certificate(args) -> int:
     bases = [parse_rational(b) for b in args.grid.split(",")]
     vectors = [ParameterVector([b, b * b]) for b in bases]
     pairs = [(v, w) for v in vectors for w in vectors]
-    cert = certificate(
-        pairs,
-        k_cap=args.k_cap,
-        oracle_limit=args.oracle_limit,
-        include_inclusion=not args.no_inclusion,
-    )
+    cert = certificate(pairs, k_cap=args.k_cap, include_inclusion=not args.no_inclusion)
     rows = []
     for idx, p in enumerate(cert.pairs):
         rows.append(
@@ -252,20 +251,18 @@ def cmd_certificate(args) -> int:
                 writer.writerow(
                     (
                         row["pair"],
-                        format(row["metric"], ".12g"),
-                        format(row["lower"], ".12g"),
-                        format(row["upper"], ".12g"),
+                        _float_cell(row["metric"]),
+                        _float_cell(row["lower"]),
+                        _float_cell(row["upper"]),
                         row["witness_k"],
-                        format(row["gap"], ".12g"),
+                        _float_cell(row["gap"]),
                     )
                 )
     return 0 if cert.consistent else 1
 
 
 def cmd_weyl(args) -> int:
-    ratio = weyl_ratio(
-        _capacity_domain(args.domain), args.k, oracle_limit=args.oracle_limit
-    )
+    ratio = weyl_ratio(_capacity_domain(args.domain), args.k)
     _emit(
         {"k": args.k, "ratio": format_rational(ratio), "ratio_float": float(ratio)},
         args.out,
@@ -275,7 +272,7 @@ def cmd_weyl(args) -> int:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig(oracle_limit=args.oracle_limit)
+    cfg = ExperimentConfig()
     if getattr(args, "params", None):
         cfg.params = tuple(_parse_params(args.params).B)
     if getattr(args, "epsilon", None):
@@ -306,10 +303,8 @@ def cmd_notsame(args) -> int:
     return _run_experiment(run_notsame, args)
 
 
-def _add_common(parser, oracle_limit: bool = True):
+def _add_common(parser):
     parser.add_argument("--out", help="output directory")
-    if oracle_limit:
-        parser.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,18 +324,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weights", help="weight expansion of a domain")
     p.add_argument("--domain", required=True)
-    _add_common(p, oracle_limit=False)
+    _add_common(p)
     p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("realize", help="realize a weight multiset")
     p.add_argument("--domain", required=True)
-    _add_common(p, oracle_limit=False)
+    _add_common(p)
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("build-flat", help="quasi-flat weights from parameters")
     p.add_argument("--params", required=True, help="e.g. 64,4096")
     p.add_argument("--threshold", default="64", choices=["8", "64"])
-    _add_common(p, oracle_limit=False)
+    _add_common(p)
     p.set_defaults(func=cmd_build_flat)
 
     p = sub.add_parser("chart", help="chart-embed points of R^n")
@@ -348,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", help="inline point, e.g. 0,1/2")
     p.add_argument("--mode", default="exact", choices=["exact", "approx"])
     p.add_argument("--precision", type=int, default=200)
-    _add_common(p, oracle_limit=False)
+    _add_common(p)
     p.set_defaults(func=cmd_chart)
 
     p = sub.add_parser("distance", help="distance bounds between two domains")

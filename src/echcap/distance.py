@@ -37,11 +37,7 @@ def sample_indices(k_max: int, per_decade: int = DEFAULT_SAMPLES_PER_DECADE) -> 
 
 
 def capacity_lower_bound(
-    U,
-    V,
-    K: int,
-    per_decade: int = DEFAULT_SAMPLES_PER_DECADE,
-    oracle_limit: int = DEFAULT_ORACLE_LIMIT,
+    U, V, K: int, per_decade: int = DEFAULT_SAMPLES_PER_DECADE
 ) -> tuple:
     """max over sampled 1 <= k <= K of |ln(c_k(U)/c_k(V))|, a valid lower
     bound for d_SM(U, V); intervals propagate conservatively.  U and V are
@@ -49,8 +45,8 @@ def capacity_lower_bound(
 
     Returns (bound, witness_k), witness_k the first k that reaches the
     bound."""
-    pu = U if isinstance(U, CapacityProfile) else CapacityProfile(U, K, oracle_limit)
-    pv = V if isinstance(V, CapacityProfile) else CapacityProfile(V, K, oracle_limit)
+    pu = U if isinstance(U, CapacityProfile) else CapacityProfile(U, K)
+    pv = V if isinstance(V, CapacityProfile) else CapacityProfile(V, K)
     best = 0.0
     witness = 0
     for k in sample_indices(K, per_decade):
@@ -134,14 +130,8 @@ class DistanceReport:
         return upper is None or self.lower <= upper + 1e-12
 
 
-def distance_report(
-    U,
-    V,
-    K: int,
-    parameters: Optional[tuple] = None,
-    oracle_limit: int = DEFAULT_ORACLE_LIMIT,
-) -> DistanceReport:
-    lower_cap, witness = capacity_lower_bound(U, V, K, oracle_limit=oracle_limit)
+def distance_report(U, V, K: int, parameters: Optional[tuple] = None) -> DistanceReport:
+    lower_cap, witness = capacity_lower_bound(U, V, K)
     lower_vol = volume_lower_bound(U, V)
     inclusion = None
     if isinstance(U, (Ellipsoid, MomentProfile)) and isinstance(

@@ -40,7 +40,6 @@ SUP_SLACK = 0.01
 
 @dataclass
 class ExperimentConfig:
-    oracle_limit: int = DEFAULT_ORACLE_LIMIT
     # lemma-cap sweep
     params: tuple = (Fraction(64), Fraction(4096))
     # warm-up
@@ -128,7 +127,7 @@ def run_lemma_cap_sweep(config: ExperimentConfig) -> RunReport:
     )
 
     all_in_window = True
-    profile = CapacityProfile(weights, k_hi, config.oracle_limit)
+    profile = CapacityProfile(weights, k_hi)
     for k in [k for k in sample_indices(k_hi, SAMPLES_PER_DECADE) if k >= k_lo]:
         lo, hi = profile.interval(k)
         # r in [lo_win, hi_win] iff lo^2 >= lo_win^2 k B_M and
@@ -151,8 +150,8 @@ def run_lemma_cap_sweep(config: ExperimentConfig) -> RunReport:
         all_in_window,
         f"c_k/sqrt(k B_M) within [{lo_win}, {hi_win}] on all sampled k",
     )
-    if 2 * k_lo <= config.oracle_limit:
-        anchor = multiset_capacity_oracle(weights, k_lo, config.oracle_limit)
+    if 2 * k_lo <= DEFAULT_ORACLE_LIMIT:
+        anchor = multiset_capacity_oracle(weights, k_lo)
         fast_lo = multiset_capacity_fast(weights, k_lo)
         report.verdict(
             "anchor_exact",
@@ -181,7 +180,7 @@ def run_ched_warmup(config: ExperimentConfig) -> RunReport:
     vol = Fraction(config.volume)
     weights = ched_weight_model(eps, vol)
     area = weights.total_area()
-    sweep = multiset_capacity_sweep(weights, config.k0_max, config.oracle_limit)
+    sweep = multiset_capacity_sweep(weights, config.k0_max)
 
     report = RunReport(
         command="ched",
@@ -247,7 +246,7 @@ def run_notsame(config: ExperimentConfig) -> RunReport:
     incl = inclusion_distance(ball, profile)
     expected_scale = 1 + 1 / eps
 
-    sweep = multiset_capacity_sweep(weights, config.k_max, config.oracle_limit)
+    sweep = multiset_capacity_sweep(weights, config.k_max)
     sup_ratio = 0.0
     report = RunReport(
         command="notsame",

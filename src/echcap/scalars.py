@@ -64,15 +64,3 @@ def half_integer_power(base: Fraction, half_steps: int) -> Fraction | None:
             return None
         result *= root
     return 1 / result if negative else result
-
-
-def floor_sqrt(value: Fraction) -> Fraction:
-    """A rational lower bound for sqrt(value): exact when value is a square."""
-    value = Fraction(value)
-    if value < 0:
-        raise ValueError("square root of a negative rational")
-    exact = exact_sqrt(value)
-    if exact is not None:
-        return exact
-    # floor(sqrt(p/q)) >= isqrt(p*q)/q, within 1/q of the true root.
-    return Fraction(isqrt(value.numerator * value.denominator), value.denominator)

@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 from echcap import capacities
-from echcap.capacities import multiset_capacity_fast
+from echcap.capacities import CapacityProfile, multiset_capacity_fast, multiset_capacity_oracle
 from echcap.cli import build_parser, main
-from echcap.domainfile import save_domain
+from echcap.distance import distance_report
+from echcap.domainfile import load_domain, save_domain
 from echcap.experiments import (
     ExperimentConfig,
     emit_report,
@@ -23,6 +24,7 @@ from echcap.experiments import (
 )
 from echcap.geometry import Ellipsoid, MomentProfile
 from echcap.quasiflat import ParameterVector, build_domain, build_weights
+from echcap.scalars import format_rational
 from echcap.weights import WeightMultiset
 
 
@@ -119,21 +121,20 @@ def test_capacity_negative_index(domain, flag, request, capsys):
 
 
 def test_capacity_sweep_above_oracle_limit(weights_file, capsys):
-    """Below the sweep's reach (oracle_limit // 2 = 2) rows come from the
-    sweep, above it from the exact engine; each row is what --k gives."""
-    args = ["capacity", "--domain", weights_file, "--oracle-limit", "4"]
-    assert main(args + ["--kmax", "6"]) == 0
-    rows = _csv_rows(capsys)[1:]
-    assert [int(r[0]) for r in rows] == list(range(7))
-    for k, num, den, exact, gap in rows:
-        if int(k) <= 2:
-            assert (exact, gap) == ("1", "0")
-        assert main(args + ["--k", k]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        lo, hi = Fraction(doc["value"]), Fraction(doc["upper"])
-        assert (int(num), int(den)) == (lo.numerator, lo.denominator)
-        assert exact == str(int(doc["exact"]))
-        assert float(gap) == pytest.approx(float((hi - lo) / lo) if lo else 0.0)
+    """Below the sweep's reach (oracle_limit // 2 = 2) c_k comes from the
+    sweep, above it from the exact engine; both give the oracle's value, and
+    so does the CLI just above the fixed reach of 2 * 10**5."""
+    w = load_domain(weights_file)
+    profile = CapacityProfile(w, 6, oracle_limit=4)
+    assert profile.reach == 2
+    for k in range(7):
+        c = multiset_capacity_oracle(w, k).best
+        assert profile.interval(k) == (c, c)
+    k = capacities.DEFAULT_ORACLE_LIMIT // 2 + 1
+    assert main(["capacity", "--domain", weights_file, "--k", str(k)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    c = multiset_capacity_oracle(w, k, oracle_limit=2 * k).best
+    assert doc == {"k": k, "value": format_rational(c), "upper": format_rational(c), "exact": True}
 
 
 def test_capacity_sweep_ellipsoid_matches_enumeration(tmp_path, capsys):
@@ -215,30 +216,31 @@ def test_capacity_and_weyl_through_weights(domain, request, capsys):
 
 
 def test_weyl_needs_an_exact_capacity(weights_file, capsys, monkeypatch):
-    # above the sweep's reach the exact engine answers c_41 ...
-    args = ["weyl", "--domain", weights_file, "--k", "41"]
+    # above the sweep's reach the exact engine answers c_200017 ...
+    args = ["weyl", "--domain", weights_file, "--k", "200017"]
     assert main(args) == 0
-    ratio = json.loads(capsys.readouterr().out)["ratio"]
-    assert main(args + ["--oracle-limit", "4"]) == 0
-    assert json.loads(capsys.readouterr().out)["ratio"] == ratio
+    ratio = Fraction(json.loads(capsys.readouterr().out)["ratio"])
+    w = load_domain(weights_file)
+    c = multiset_capacity_oracle(w, 200017, oracle_limit=400034).best
+    assert ratio == c * c / (4 * 200017 * w.total_area())
     # ... unless its window DP is over the cell limit, which leaves an interval
     monkeypatch.setattr(capacities, "_CELL_LIMIT", 0)
-    assert main(args + ["--oracle-limit", "4"]) == 2
-    assert capsys.readouterr().err.startswith("error: c_41 is only known as an interval")
+    assert main(args) == 2
+    assert capsys.readouterr().err == "error: c_200017 is only known as an interval\n"
 
 
 VERB_OPTIONS = {
-    "capacity": {"--domain", "--k", "--kmax", "--out", "--oracle-limit"},
+    "capacity": {"--domain", "--k", "--kmax", "--out"},
     "weights": {"--domain", "--out"},
     "realize": {"--domain", "--out"},
     "build-flat": {"--params", "--threshold", "--out"},
     "chart": {"--points", "--x", "--mode", "--precision", "--out"},
-    "distance": {"--domain", "--domain2", "--kmax", "--out", "--oracle-limit"},
-    "certificate": {"--grid", "--k-cap", "--no-inclusion", "--out", "--oracle-limit"},
-    "lemma-cap": {"--params", "--out", "--oracle-limit"},
-    "ched": {"--epsilon", "--volume", "--kmax", "--out", "--oracle-limit"},
-    "notsame": {"--epsilon", "--kmax", "--out", "--oracle-limit"},
-    "weyl": {"--domain", "--k", "--out", "--oracle-limit"},
+    "distance": {"--domain", "--domain2", "--kmax", "--out"},
+    "certificate": {"--grid", "--k-cap", "--no-inclusion", "--out"},
+    "lemma-cap": {"--params", "--out"},
+    "ched": {"--epsilon", "--volume", "--kmax", "--out"},
+    "notsame": {"--epsilon", "--kmax", "--out"},
+    "weyl": {"--domain", "--k", "--out"},
 }
 
 
@@ -280,7 +282,14 @@ def test_build_flat(capsys):
     assert main(["build-flat", "--params", "64,4096"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["admissible"] is True
+    assert doc["exact_representable"] is True
     assert doc["weights"]["entries"][0] == ["1/8", "4096"]
+    # sqrt(2) is irrational: reported, not refused
+    for params in ("2", "1/2"):
+        assert main(["build-flat", "--params", params]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["exact_representable"] is False
+        assert doc["weights"] is None and doc["profile"] is None
 
 
 def test_chart_inline(capsys):
@@ -321,6 +330,37 @@ def test_distance_verb(ball_file, ellipsoid_file, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["consistent"] is True
     assert doc["lower"] <= doc["upper"]
+
+
+def test_distance_of_quasiflat_files(tmp_path, capsys):
+    """Two quasi-flat files get the inclusion bound of their realized
+    profiles next to the lemma bound, and the capacity bound of their
+    weights."""
+    u, v = ParameterVector([4, 16]), ParameterVector([16, 256])
+    save_domain(u, tmp_path / "u.json")
+    save_domain(v, tmp_path / "v.json")
+    args = ["distance", "--domain", str(tmp_path / "u.json"), "--domain2", str(tmp_path / "v.json")]
+    assert main(args) == 0
+    doc = json.loads(capsys.readouterr().out)
+    weights_only = distance_report(build_weights(u), build_weights(v), 500, parameters=(u, v))
+    assert (doc["lower"], doc["upper_lemma"]) == (weights_only.lower, weights_only.upper_lemma)
+    assert doc["upper"] == doc["upper_inclusion"]["distance"] < doc["upper_lemma"]
+
+
+def test_certificate_out_with_skipped_pairs(tmp_path, capsys):
+    """B = 5 has no rational square root, so its pairs are skipped: null in
+    the JSON, empty cells in the CSV."""
+    assert main(["certificate", "--grid", "4,5", "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "certificate.json").read_text())
+    rows = list(csv.reader(io.StringIO((tmp_path / "certificate.csv").read_text())))
+    assert len(rows) == 1 + len(doc["pairs"]) == 5
+    for pair, row in zip(doc["pairs"], rows[1:]):
+        assert pair["skipped"] == (pair["v"] != ["4/1", "16/1"] or pair["w"] != ["4/1", "16/1"])
+        if pair["skipped"]:
+            assert pair["lower"] is pair["upper"] is pair["gap"] is None
+            assert (row[2], row[3], row[5]) == ("", "", "")
+        else:
+            assert row[2] != ""
 
 
 def test_weyl_verb(ball_file, capsys):
@@ -428,7 +468,7 @@ def test_lemma_cap_exact_below_reach():
     cfg = ExperimentConfig()
     report = run_lemma_cap_sweep(cfg)
     assert report.passed
-    reach = cfg.oracle_limit // 2
+    reach = capacities.DEFAULT_ORACLE_LIMIT // 2
     below = [row for row in report.rows if row[0] <= reach]
     assert len(below) == 108 and len(report.rows) > len(below)
     assert all((exact, gap) == (1, "0") for _, _, _, _, exact, gap in report.rows)

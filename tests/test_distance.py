@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from echcap.capacities import CapacityProfile
 from echcap.distance import (
     capacity_lower_bound,
     certificate,
@@ -133,7 +134,10 @@ def test_certificate_rows_match_separate_lower_bounds():
         wu, ww = build_weights(v), build_weights(w)
         k_target = min(400, max(int(b ** (i + 2)) for x in (v, w) for i, b in enumerate(x.B)))
         bound, witness = capacity_lower_bound(
-            wu, ww, k_target, per_decade=16, oracle_limit=300
+            CapacityProfile(wu, k_target, oracle_limit=300),
+            CapacityProfile(ww, k_target, oracle_limit=300),
+            k_target,
+            per_decade=16,
         )
         assert p.lower == max(bound, volume_lower_bound(wu, ww))
         assert p.witness_k == witness

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from echcap.scalars import (
     exact_sqrt,
-    floor_sqrt,
     format_rational,
     half_integer_power,
     is_integral,
@@ -53,10 +52,3 @@ def test_half_integer_power():
     assert half_integer_power(Fraction(9), 3) == 27
     assert half_integer_power(Fraction(2), -1) is None  # sqrt(2) irrational
     assert half_integer_power(Fraction(2), -2) == Fraction(1, 2)
-
-
-def test_floor_sqrt():
-    assert floor_sqrt(Fraction(9)) == 3
-    lo = floor_sqrt(Fraction(2))
-    assert lo * lo <= 2
-    assert (lo + 1) ** 2 > 2
