@@ -21,13 +21,17 @@ whose cost the caller takes off the budget, and the items add units
 L+1..H.  The oracle and the sweep pass [0, k]; the exact engine passes the
 windows its reduced costs and proximity bound leave open.
 
-Each item starts at its normal-form cost: an item of tier j is applied
-only at budgets of at least its own cost plus the cost of filling the
-window up to the first unit of tier j, since a normal-form assignment that
-takes any unit of tier j has filled every earlier unit.  The cells below
-that start hold only non-normal-form mixes, which are never better (see
-``tier_dp``), so every per-class dp is unchanged.  A DP over budgets
-0..k runs sum(k + 1 - start) cells over its items.
+Each item starts at its normal-form cost, raised by dominance: an item of
+tier j of class i is applied only at budgets of at least its own cost,
+plus the cost of filling its window up to the first unit of tier j, plus
+D_i(j), the cost above their bases of filling tiers 1..j of every class
+before i, each within its window.  The classes come strictly heaviest
+first, so an assignment that holds a unit of class i at tier >= j while
+an earlier class has an open unit at tier <= j gains by swapping the one
+for the other (see ``tier_plans``): no optimal assignment does that.  The
+cells below each start hold only assignments that are never better, so
+every dp, over every prefix of the classes, is unchanged.  A DP over
+budgets 0..k runs sum(k + 1 - start) cells over its items.
 
 The DP runs in the narrowest lane that holds its values exactly, chosen
 from the value bound: the sum of the values of all items.  Every cell
@@ -55,27 +59,37 @@ def half_cost(n: int, u: int) -> int:
     return n * (d * d + d) // 2 + r * (d + 1)
 
 
-def _tier_items(n: int, s: int, k: int, lo: int, hi: int) -> list:
+def _tier_items(n: int, s: int, k: int, lo: int, hi: int, ahead) -> list:
     """0/1 items (cost, scaled value, start) for units lo+1..hi of one
-    class, within k half-units counted from the cost of its first lo units;
-    start is the item's cost plus that of the units before its tier.
+    class, within k half-units counted from the cost of its first lo units.
+    ``ahead`` holds the classes before it as (tier, dA, dB) steps of
+    D(j) = A j(j+1)/2 + B, sorted by tier; an item's start is its cost,
+    plus that of the units before its tier, plus D at its tier.
 
     Tier j is open while the units between lo and its first unit, plus one
-    of its own, fit in k, and it holds at most as many units as the rest of
-    k pays for, which bounds the units of a normal-form assignment within
-    k.  The items of a tier, of 1, 2, 4, ... units, take any count of its
-    units by some subset.
+    of its own, plus D(j), fit in k, and it holds at most as many units as
+    the rest of k pays for, which bounds the units of a dominance-normal
+    assignment within k.  The items of a tier, of 1, 2, 4, ... units, take
+    any count of its units by some subset.
     """
     items = []
     j = lo // n + 1  # the tier of unit lo+1
     spent = 0  # cost of units lo+1 up to the first unit of tier j
-    while lo < hi and spent + j <= k:
+    a = b = step = 0
+    while lo < hi:
+        while step < len(ahead) and ahead[step][0] <= j:
+            a += ahead[step][1]
+            b += ahead[step][2]
+            step += 1
+        paid = spent + a * (j * j + j) // 2 + b  # cost before tier j
+        if paid + j > k:
+            break
         end = min(n * j, hi)
-        cap = min(end - lo, (k - spent) // j)
+        cap = min(end - lo, (k - paid) // j)
         size = 1
         while cap > 0:
             t = min(size, cap)
-            items.append((j * t, s * t, spent + j * t))
+            items.append((j * t, s * t, paid + j * t))
             cap -= t
             size *= 2
         spent += (end - lo) * j
@@ -87,8 +101,36 @@ def _tier_items(n: int, s: int, k: int, lo: int, hi: int) -> list:
 def tier_plans(scaled, copies, k: int, windows) -> list:
     """Per class, with ``windows[i] = (L, H)``: the items (cost, value,
     start) that add units L+1..H to a base of L units, within k half-units
-    beyond the base's cost."""
-    return [_tier_items(n, s, k, lo, hi) for s, n, (lo, hi) in zip(scaled, copies, windows)]
+    beyond the bases' cost.
+
+    Dominance (Kellerer, Pferschy and Pisinger, *Knapsack Problems*, 2004):
+    with ``scaled`` strictly descending, take an assignment in the windows
+    that holds a unit of class i above L at tier >= j while a class
+    i' < i holds fewer than min(j n', H') units.  Moving class i's top
+    unit to class i' costs no more (a tier <= j for one >= j), is worth
+    strictly more (s' > s), and stays in both windows.  So an optimal
+    assignment, at any budget, that takes a unit of tier j of class i has
+    first filled tiers 1..j of every earlier class, which costs
+
+        D_i(j) = sum over i' < i of max(0, half_cost(n', min(j n', H')) - half_cost(n', L'))
+
+    above their bases, and that raises the start of every item of the
+    tier.  Each earlier class adds to D the quadratic n' j(j+1)/2 -
+    half_cost(n', L') from its first tier past L' and the constant
+    half_cost(n', H') - half_cost(n', L') from the tier holding H', so D
+    costs O(1) per tier a class visits, whatever tier its window starts at.
+    """
+    if any(x <= y for x, y in zip(scaled, scaled[1:])):
+        raise ValueError("tier_plans needs strictly descending scaled values")
+    plans = []
+    ahead = []  # (tier, dA, dB) steps of D over the classes so far
+    for s, n, (lo, hi) in zip(scaled, copies, windows):
+        plans.append(_tier_items(n, s, k, lo, hi, ahead))
+        if lo < hi:
+            base = half_cost(n, lo)
+            ahead += [(lo // n + 1, n, -base), (-(-hi // n), -n, half_cost(n, hi))]
+            ahead.sort()
+    return plans
 
 
 def tier_dp(plans: list, k: int, keep: bool):
@@ -101,12 +143,18 @@ def tier_dp(plans: list, k: int, keep: bool):
     (normal-form) assignment with as many units is never dearer: the
     optimum is a normal-form one.
 
-    So each item updates only dp[start:].  Along a normal-form
-    assignment, an item of tier j is applied at the assignment's cost less
-    that of the items taken after it, and that is at least its start: all
-    units before tier j are taken, and they cost the rest.  Every
-    normal-form assignment is still reached, so each class's dp is the
-    same as with full updates.
+    So each item updates only dp[start:].  Every optimal assignment is
+    also dominance-normal (see ``tier_plans``): if it takes a unit of tier
+    j of class i, it has filled tiers 1..j of the classes before i.  Along
+    such an assignment, an item of tier j of class i is applied at the
+    assignment's cost less that of the items taken after it, and that is
+    at least its start: the earlier classes cost at least D_i(j), and the
+    units of class i before tier j are taken and cost the rest.  So an
+    optimum over the first i classes, at every budget, is still reached
+    by the first i plans, and each dp is the optimum over its prefix of
+    the classes, as with full updates.  Every dp is monotone in the
+    budget, and ``backtrack``'s equality search keeps suffix +
+    history[i + 1][b] = dp[k], since every history value is achieved.
 
     The lane is the narrowest that holds the value bound, the sum of all
     item values: int32 below 2^30, int64 below 2^62, Python integers

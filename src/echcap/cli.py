@@ -12,6 +12,7 @@ import contextlib
 import csv
 import json
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from .experiments import (
     run_ched_warmup,
     run_lemma_cap_sweep,
     run_notsame,
+    write_timing,
 )
 from .geometry import Ellipsoid, MomentProfile
 from .quasiflat import (
@@ -159,11 +161,12 @@ def cmd_chart(args) -> int:
                     rows.append([Fraction(c) for c in row])
     else:
         rows = [[parse_rational(c) for c in args.x.split(",")]]
+    # every point before the first line, so bad input leaves no partial CSV
+    points = [chart_embed(point, snap=args.mode, precision=args.precision) for point in rows]
     with _csv_sink(args.out, "chart.csv") as fh:
         writer = csv.writer(fh)
         writer.writerow(("x", "y_stage", "b_stage", "snap_error"))
-        for point in rows:
-            cp = chart_embed(point, snap=args.mode, precision=args.precision)
+        for cp in points:
             writer.writerow(
                 (
                     ";".join(str(c) for c in cp.x),
@@ -303,6 +306,20 @@ def cmd_notsame(args) -> int:
     return _run_experiment(run_notsame, args)
 
 
+def _timed(command: str, func):
+    """The verb ``func``, writing ``<command>_timing.txt`` next to its
+    ``--out`` files."""
+
+    def run(args) -> int:
+        start = time.monotonic()
+        code = func(args)
+        if args.out:
+            write_timing(args.out, command, time.monotonic() - start)
+        return code
+
+    return run
+
+
 def _add_common(parser):
     parser.add_argument("--out", help="output directory")
 
@@ -320,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--kmax", type=int)
     _add_common(p)
-    p.set_defaults(func=cmd_capacity)
+    p.set_defaults(func=_timed("capacity", cmd_capacity))
 
     p = sub.add_parser("weights", help="weight expansion of a domain")
     p.add_argument("--domain", required=True)
@@ -351,14 +368,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain2", required=True)
     p.add_argument("--kmax", type=int, default=500)
     _add_common(p)
-    p.set_defaults(func=cmd_distance)
+    p.set_defaults(func=_timed("distance", cmd_distance))
 
     p = sub.add_parser("certificate", help="quasi-flat certificate on a grid")
     p.add_argument("--grid", default="4,16,64,256,1024", help="B_1 values; B_2 = B_1^2")
     p.add_argument("--k-cap", type=int, default=DEFAULT_K_CAP)
     p.add_argument("--no-inclusion", action="store_true")
     _add_common(p)
-    p.set_defaults(func=cmd_certificate)
+    p.set_defaults(func=_timed("certificate", cmd_certificate))
 
     p = sub.add_parser("lemma-cap", help="capacity growth sweep")
     p.add_argument("--params")

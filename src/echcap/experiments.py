@@ -95,9 +95,15 @@ def emit_report(report: RunReport, out_dir) -> list:
             writer.writerow(report.columns)
             writer.writerows(report.rows)
         written.append(path)
-    timing = out / f"{report.command}_timing.txt"
-    timing.write_text(f"wall_clock_seconds {report.wall_clock:.3f}\n")
+    write_timing(out, report.command, report.wall_clock)
     return written
+
+
+def write_timing(out_dir, command: str, seconds: float):
+    """The sidecar ``<command>_timing.txt``, outside the byte-stable
+    reports."""
+    timing = Path(out_dir) / f"{command}_timing.txt"
+    timing.write_text(f"wall_clock_seconds {seconds:.3f}\n")
 
 
 def run_lemma_cap_sweep(config: ExperimentConfig) -> RunReport:
@@ -163,13 +169,19 @@ def run_lemma_cap_sweep(config: ExperimentConfig) -> RunReport:
 
 
 def ched_weight_model(epsilon: Fraction, volume: Fraction) -> WeightMultiset:
-    """{1 x 1, eps x m} with m the smallest integer making the area >= V."""
+    """{1 x 1, eps x m} with m the smallest integer making the area >= V:
+    the ball alone when V <= 1/2."""
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     volume = Fraction(volume)
+    if volume <= 0:
+        raise ValueError("volume must be positive")
     m = math.ceil((2 * volume - 1) / epsilon**2)
-    return WeightMultiset([(Fraction(1), 1), (epsilon, m)])
+    entries = [(Fraction(1), 1)]
+    if m > 0:
+        entries.append((epsilon, m))
+    return WeightMultiset(entries)
 
 
 def run_ched_warmup(config: ExperimentConfig) -> RunReport:

@@ -181,6 +181,7 @@ def fold(x: Sequence) -> tuple:
 
 def q_metric(x: Sequence, y: Sequence, precision: int = DEFAULT_PRECISION):
     """max |ln(x_i / y_i)| on positive vectors, at the given binary precision."""
+    _check_precision(precision)
     if len(x) != len(y):
         raise DimensionMismatchError(
             f"dimension mismatch: {len(x)} vs {len(y)}"
@@ -193,6 +194,11 @@ def q_metric(x: Sequence, y: Sequence, precision: int = DEFAULT_PRECISION):
                 raise ValueError("coordinates must be positive")
             best = max(best, abs(mpmath.log(ratio)))
         return best
+
+
+def _check_precision(precision: int):
+    if precision < 1:
+        raise ValueError(f"precision must be >= 1 bit, got {precision}")
 
 
 def _to_mpf(value):
@@ -222,6 +228,7 @@ def chart_embed(
     """Fold, apply the doubling map, exponentiate; in "exact" snap mode each
     e^{y_j} is rounded to the nearest admissible parameter (a perfect
     square, so B^{j+1} is integral and every weight is rational)."""
+    _check_precision(precision)
     folded = fold(x)
     y = map_linear(folded)
     with mpmath.workprec(precision):

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,6 +18,7 @@ from echcap.distance import distance_report
 from echcap.domainfile import load_domain, save_domain
 from echcap.experiments import (
     ExperimentConfig,
+    ched_weight_model,
     emit_report,
     run_ched_warmup,
     run_lemma_cap_sweep,
@@ -322,6 +324,19 @@ def test_chart_needs_points_or_x(capsys):
     assert captured.err == "error: chart needs --points or --x\n"
 
 
+@pytest.mark.parametrize("precision", ["0", "-5"])
+def test_chart_precision_below_one(precision, tmp_path, capsys):
+    """Refused before any output: at 0 bits B read 2048;8388608 where the
+    default precision gives 403.43;3269017.37."""
+    argv = ["chart", "--x", "0", "--mode", "approx", f"--precision={precision}"]
+    assert main(argv) == 2
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert list(tmp_path.iterdir()) == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: precision must be >= 1 bit, got {precision}\n" * 2
+
+
 def test_distance_verb(ball_file, ellipsoid_file, capsys):
     rc = main(
         ["distance", "--domain", ball_file, "--domain2", ellipsoid_file, "--kmax", "50"]
@@ -363,6 +378,31 @@ def test_certificate_out_with_skipped_pairs(tmp_path, capsys):
             assert row[2] != ""
 
 
+@pytest.mark.parametrize(
+    "verb, args, report",
+    [
+        ("capacity", ["--domain", "BALL", "--k", "7"], "capacity.json"),
+        ("capacity", ["--domain", "BALL", "--kmax", "7"], "capacity.csv"),
+        ("distance", ["--domain", "BALL", "--domain2", "ELLIPSOID", "--kmax", "50"], "distance.json"),
+        ("certificate", ["--grid", "4,16"], "certificate.json"),
+    ],
+)
+def test_timing_sidecar(verb, args, report, ball_file, ellipsoid_file, tmp_path, capsys):
+    """--out adds <verb>_timing.txt next to the report, whose bytes are
+    what standard output gets without --out."""
+    files = {"BALL": ball_file, "ELLIPSOID": ellipsoid_file}
+    argv = [verb] + [files.get(a, a) for a in args]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(argv + ["--out", str(out)]) == 0
+    names = {p.name for p in out.iterdir()}
+    assert names == {report, f"{verb}_timing.txt"} | ({"certificate.csv"} if verb == "certificate" else set())
+    assert re.fullmatch(r"wall_clock_seconds \d+\.\d{3}\n", (out / f"{verb}_timing.txt").read_text())
+    assert (out / report).read_bytes() == printed.encode()
+
+
 def test_weyl_verb(ball_file, capsys):
     assert main(["weyl", "--domain", ball_file, "--k", "100"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -391,6 +431,30 @@ def test_experiment_epsilon_not_positive(verb, epsilon, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: epsilon must be positive\n"
+
+
+@pytest.mark.parametrize("volume", ["0", "-3"])
+def test_ched_volume_not_positive(volume, capsys):
+    assert main(["ched", f"--volume={volume}", "--kmax", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: volume must be positive\n"
+    with pytest.raises(ValueError, match="^volume must be positive$"):
+        ched_weight_model(Fraction(1, 4), Fraction(volume))
+
+
+def test_ched_small_volume_is_the_ball(tmp_path, capsys):
+    """For V <= 1/2 the ball alone has area >= V, so no eps copies are
+    added; just above 1/2 one is."""
+    ball = WeightMultiset([(1, 1)])
+    for volume in (Fraction(1, 4), Fraction(1, 2)):
+        assert ched_weight_model(Fraction(1, 4), volume) == ball
+    assert ched_weight_model(Fraction(1, 4), Fraction(1, 2) + Fraction(1, 64)) == WeightMultiset(
+        [(1, 1), (Fraction(1, 4), 1)]
+    )
+    assert main(["ched", "--volume", "1/4", "--kmax", "10", "--out", str(tmp_path)]) == 0
+    rows = list(csv.reader(io.StringIO((tmp_path / "ched.csv").read_text())))
+    assert all(row[1:3] == row[3:5] for row in rows[1:])  # c_k0(X) = c_k0(B(1))
 
 
 def test_notsame_kmax_zero(capsys):

@@ -8,8 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from echcap import capacities
 from echcap._kernels import backtrack, half_cost, tier_dp, tier_plans
-from echcap.capacities import _ScaledClasses, multiset_capacity_oracle
+from echcap.capacities import _ScaledClasses, multiset_capacity_fast, multiset_capacity_oracle
 from echcap.weights import WeightMultiset
 
 
@@ -54,10 +55,20 @@ def plans_for(classes, k):
     return tier_plans(classes.scaled, classes.copies, k, [(0, k)] * len(classes))
 
 
-def test_item_starts_at_its_normal_form_cost():
-    """An item of t units of tier j (cost j t, value s t) starts at its
-    cost plus the cost, above the base, of filling its window up to the
-    tier's first unit, and fits in the budget."""
+def dominance(copies, windows, i, j):
+    """D_i(j): the cost above their bases of filling tiers 1..j of every
+    class before i, each within its window."""
+    return sum(
+        max(0, half_cost(n, min(j * n, hi)) - half_cost(n, lo))
+        for n, (lo, hi) in zip(copies[:i], windows[:i])
+    )
+
+
+def test_item_starts_at_its_dominance_raised_cost():
+    """An item of t units of tier j (cost j t, value s t) of class i starts
+    at its cost, plus the cost above the base of filling its window up to
+    the tier's first unit, plus D_i(j), and fits in the budget; the first
+    tier left out is past the window or starts over the budget."""
     rng = random.Random(99)
     for _ in range(300):
         classes = random_classes(rng, max_copies=6, max_total=12)
@@ -67,12 +78,127 @@ def test_item_starts_at_its_normal_form_cost():
             windows.append((lo, lo + rng.randint(0, 5 * n)))
         k = rng.randint(0, 80)
         plans = tier_plans(classes.scaled, classes.copies, k, windows)
-        for s, n, (lo, _), items in zip(classes.scaled, classes.copies, windows, plans):
+        for i, (s, n, (lo, hi), items) in enumerate(
+            zip(classes.scaled, classes.copies, windows, plans)
+        ):
+            tiers = set()
             for cost, value, start in items:
                 j = cost * s // value
+                tiers.add(j)
                 filled = max(lo, n * (j - 1))  # units before the tier's first
-                assert start == cost + half_cost(n, filled) - half_cost(n, lo)
+                paid = half_cost(n, filled) - half_cost(n, lo)
+                paid += dominance(classes.copies, windows, i, j)
+                assert start == cost + paid
                 assert start <= k
+            j = lo // n + 1 + len(tiers)
+            assert tiers == set(range(lo // n + 1, j))
+            filled = max(lo, n * (j - 1))
+            paid = half_cost(n, filled) - half_cost(n, lo)
+            assert filled >= hi or paid + j + dominance(classes.copies, windows, i, j) > k
+
+
+def _plain_tier_items(n, s, k, lo, hi):
+    """Items of one class with starts raised by its own earlier tiers
+    only, as before the dominance rule: the reference ``tier_plans`` is
+    checked against."""
+    items = []
+    j = lo // n + 1
+    spent = 0
+    while lo < hi and spent + j <= k:
+        end = min(n * j, hi)
+        cap = min(end - lo, (k - spent) // j)
+        size = 1
+        while cap > 0:
+            t = min(size, cap)
+            items.append((j * t, s * t, spent + j * t))
+            cap -= t
+            size *= 2
+        spent += (end - lo) * j
+        lo = end
+        j += 1
+    return items
+
+
+def _same_as_plain_plans(scaled, copies, k, windows):
+    """The dominance-raised plans cut no value: every per-class dp and the
+    witness equal those of the plain plans, at every budget; returns the
+    raised plans' cells and the plain ones'."""
+    plans = tier_plans(scaled, copies, k, windows)
+    plain = [_plain_tier_items(n, s, k, lo, hi) for s, n, (lo, hi) in zip(scaled, copies, windows)]
+    _, history = tier_dp(plans, k, keep=True)
+    _, plain_history = tier_dp(plain, k, keep=True)
+    for dp, plain_dp in zip(history, plain_history):
+        assert np.array_equal(dp, plain_dp)
+    for b in range(k + 1) if k <= 40 else (0, k // 2, k):
+        units = backtrack(scaled, copies, history, windows, b)
+        assert units == backtrack(scaled, copies, plain_history, windows, b)
+        extra = [u - lo for u, (lo, _) in zip(units, windows)]
+        assert sum(s * x for s, x in zip(scaled, extra)) == history[-1][b]
+        cost = sum(half_cost(n, u) - half_cost(n, lo) for n, u, (lo, _) in zip(copies, units, windows))
+        assert cost <= b
+    return (
+        sum(k + 1 - start for items in plans for _, _, start in items),
+        sum(k + 1 - start for items in plain for _, _, start in items),
+    )
+
+
+def test_raised_starts_match_plain_plans():
+    """Random classes, windows and budgets: the same dp arrays over every
+    prefix of the classes and the same witnesses as the plain plans, and
+    the brute force over per-copy levels where the windows are [0, h]."""
+    rng = random.Random(4242)
+    cut = 0
+    for trial in range(400):
+        classes = random_classes(rng, max_copies=5, max_total=10 if trial % 2 else 4)
+        h = rng.randint(0, 40 if trial % 2 else 16)
+        if trial % 2:
+            windows = []
+            for n in classes.copies:
+                lo = rng.randint(0, 4 * n)
+                windows.append((lo, lo + rng.randint(0, 5 * n)))
+        else:
+            windows = [(0, h)] * len(classes)
+        cells, plain_cells = _same_as_plain_plans(classes.scaled, classes.copies, h, windows)
+        cut += cells < plain_cells
+        if not trial % 2:
+            dp, _ = tier_dp(plans_for(classes, h), h, keep=False)
+            assert dp.tolist() == brute_per_copy(classes.scaled, classes.copies, 2 * h)[::2]
+    assert cut > 100  # the rule does raise starts
+
+
+def test_raised_starts_match_plain_plans_in_engine_windows(monkeypatch):
+    """The window DPs of ``multiset_capacity_fast``, recorded as the engine
+    builds them, give the dp arrays and witnesses of the plain plans."""
+    calls = []
+
+    def record(scaled, copies, k, windows):
+        calls.append((list(scaled), list(copies), k, list(windows)))
+        return tier_plans(scaled, copies, k, windows)
+
+    monkeypatch.setattr(capacities, "tier_plans", record)
+    rng = random.Random(515)
+    while len(calls) < 60:
+        entries = {}
+        for _ in range(rng.randint(2, 8)):
+            entries[Fraction(rng.randint(1, 40), rng.randint(1, 40))] = rng.choice(
+                (1, 2, rng.randint(1, 30), rng.randint(1, 10**4))
+            )
+        k = rng.choice((rng.randint(10**3, 10**5), rng.randint(10**5, 10**9)))
+        multiset_capacity_fast(WeightMultiset(entries.items()), k)
+    cut = 0
+    for scaled, copies, budget, windows in calls:
+        if budget <= 10**6:
+            cells, plain_cells = _same_as_plain_plans(scaled, copies, budget, windows)
+            cut += cells < plain_cells
+    assert cut > 10
+
+
+def test_plans_need_strictly_descending_values():
+    """The dominance rule rests on strictly heavier earlier classes: equal
+    or rising scaled values are refused."""
+    for scaled in ([3, 3], [2, 5], [9, 4, 4]):
+        with pytest.raises(ValueError, match="strictly descending"):
+            tier_plans(scaled, [1] * len(scaled), 10, [(0, 10)] * len(scaled))
 
 
 # one DP pass without the per-class history, and one that keeps it

@@ -186,3 +186,14 @@ def test_chart_embed_snap_error_bounded_on_grid():
     for i in range(-8, 9):
         cp = chart_embed([Fraction(i, 4)])
         assert all(float(e) <= 0.1 for e in cp.snap_errors)
+
+
+@pytest.mark.parametrize("precision", [0, -5])
+def test_precision_below_one_bit(precision):
+    """mpmath at 0 or fewer bits gives garbage (B = (2^11, 2^23) at x = 0
+    in approx mode), so both entry points refuse it."""
+    with pytest.raises(ValueError, match="precision must be >= 1"):
+        chart_embed([0], snap="approx", precision=precision)
+    with pytest.raises(ValueError, match="precision must be >= 1"):
+        q_metric([8], [1], precision=precision)
+    assert chart_embed([0], snap="approx", precision=1).B
