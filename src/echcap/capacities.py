@@ -24,8 +24,9 @@ from typing import Optional
 from ._kernels import _max_units, backtrack, half_cost, tier_dp, tier_plans
 from .errors import ResourceLimitError
 from .geometry import Ellipsoid, MomentProfile, area
+from .quasiflat import ParameterVector, build_weights
 from .scalars import Scalar
-from .weights import WeightMultiset, weight_expansion
+from .weights import WeightMultiset, ellipsoid_weights, weight_expansion
 
 # The largest DP budget 2k of the oracle and the sweep, so CapacityProfile
 # sweeps c_k up to k = 2 * 10**5 and asks the exact engine above that
@@ -421,30 +422,49 @@ def multiset_capacity_fast(w: WeightMultiset, k: int) -> CapacityResult:
 # ---------------------------------------------------------------------------
 
 
+def as_weights(domain) -> WeightMultiset:
+    """The weight multiset of any domain a domain file describes: an
+    ellipsoid by its Euclidean recursion, a moment profile by its weight
+    expansion, a quasi-flat parameter vector by its ellipsoid union."""
+    if isinstance(domain, WeightMultiset):
+        return domain
+    if isinstance(domain, Ellipsoid):
+        return ellipsoid_weights(domain)
+    if isinstance(domain, MomentProfile):
+        return weight_expansion(domain)[0]
+    if isinstance(domain, ParameterVector):
+        return build_weights(domain)
+    raise TypeError(f"unsupported domain type {type(domain)!r}")
+
+
 class CapacityProfile:
     """(lo, hi) on c_k of one domain, for the k of one computation; the
     only place that decides which engine answers c_k.
 
     Balls use their closed form and ellipsoids their lattice count, at any
-    k.  Weight multisets, and moment profiles through their weights, take
-    every c_k up to ``reach`` = min(k_max, oracle_limit // 2) exactly from
-    one DP sweep, kept as the integer DP array and its denominator, and c_k
-    above it from ``multiset_capacity_fast``: exact, or an interval when
-    its window DP is over the cell limit.  Intervals are memoized by k for
-    the life of the profile."""
+    k.  Every other domain goes through its weights (``as_weights``), which
+    take every c_k up to ``reach`` = min(k_max, oracle_limit // 2) exactly
+    from one DP sweep, kept as the integer DP array and its denominator,
+    and c_k above it from ``multiset_capacity_fast``: exact, or an interval
+    when its window DP is over the cell limit.  Intervals are memoized by
+    k for the life of the profile.
+
+    ``volume`` is the domain's symplectic volume: the area of an
+    ellipsoid's moment triangle, and otherwise the total ball volume of
+    the weights, which a concave toric domain's weights fill exactly."""
 
     def __init__(self, domain, k_max: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT):
         if k_max < 0:
             raise ValueError("capacity index must be >= 0")
-        if isinstance(domain, MomentProfile):
-            domain, _ = weight_expansion(domain)
-        if not isinstance(domain, (Ellipsoid, WeightMultiset)):
-            raise TypeError(f"unsupported domain type {type(domain)!r}")
-        self.domain = domain
         self.reach = 0
-        if isinstance(domain, WeightMultiset):
+        if isinstance(domain, Ellipsoid):
+            self.volume = area(domain)
+        else:
+            domain = as_weights(domain)
+            self.volume = domain.total_area()
             self.reach = min(k_max, oracle_limit // 2)
             self._dp, self._den = multiset_capacity_table(domain, self.reach, oracle_limit)
+        self.domain = domain
         self._memo = {}
 
     def interval(self, k: int) -> tuple:
@@ -467,19 +487,12 @@ class CapacityProfile:
         return self._memo[k]
 
 
-def domain_volume(domain) -> Scalar:
-    if isinstance(domain, (Ellipsoid, MomentProfile)):
-        return area(domain)
-    if isinstance(domain, WeightMultiset):
-        return domain.total_area()
-    raise TypeError(f"unsupported domain type {type(domain)!r}")
-
-
 def weyl_ratio(domain, k: int) -> Scalar:
     """c_k^2 / (4 k vol), an exact rational converging to 1 as k grows."""
     if k <= 0:
         raise ValueError("Weyl ratio is undefined at k = 0")
-    lo, hi = CapacityProfile(domain, k).interval(k)
+    profile = CapacityProfile(domain, k)
+    lo, hi = profile.interval(k)
     if lo != hi:
         raise ResourceLimitError(f"c_{k} is only known as an interval")
-    return lo * lo / (4 * k * domain_volume(domain))
+    return lo * lo / (4 * k * profile.volume)

@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .capacities import CapacityProfile, relative_gap, weyl_ratio
+from .capacities import CapacityProfile, as_weights, relative_gap, weyl_ratio
 from .distance import DEFAULT_K_CAP, certificate, distance_report
 from .domainfile import load_domain, to_document
 from .errors import EchcapError
@@ -26,9 +26,7 @@ from .experiments import (
     run_ched_warmup,
     run_lemma_cap_sweep,
     run_notsame,
-    write_timing,
 )
-from .geometry import Ellipsoid, MomentProfile
 from .quasiflat import (
     ParameterVector,
     build_domain,
@@ -37,7 +35,7 @@ from .quasiflat import (
     validate_parameters,
 )
 from .scalars import format_rational, parse_rational
-from .weights import WeightMultiset, ellipsoid_weights, realize, weight_expansion
+from .weights import realize
 
 
 def _parse_params(text: str) -> ParameterVector:
@@ -59,34 +57,13 @@ def _csv_sink(out: str | None, name: str):
     return contextlib.nullcontext(sys.stdout)
 
 
-def _load_weights(domain) -> WeightMultiset:
-    if isinstance(domain, WeightMultiset):
-        return domain
-    if isinstance(domain, Ellipsoid):
-        return ellipsoid_weights(domain)
-    if isinstance(domain, MomentProfile):
-        return weight_expansion(domain)[0]
-    if isinstance(domain, ParameterVector):
-        return build_weights(domain)
-    raise EchcapError(f"cannot derive weights from {type(domain).__name__}")
-
-
-def _capacity_domain(path):
-    """A domain file as CapacityProfile takes it: quasi-flat parameter
-    vectors become their weights, every other type is passed through."""
-    domain = load_domain(path)
-    if isinstance(domain, ParameterVector):
-        return build_weights(domain)
-    return domain
-
-
 def cmd_capacity(args) -> int:
     if args.k is None and args.kmax is None:
         raise EchcapError("capacity needs --k or --kmax")
     if args.k is not None and args.kmax is not None:
         raise EchcapError("capacity takes --k or --kmax, not both")
     k_max = args.k if args.kmax is None else args.kmax
-    profile = CapacityProfile(_capacity_domain(args.domain), k_max)
+    profile = CapacityProfile(load_domain(args.domain), k_max)
     if args.kmax is not None:
         rows = []
         for k in range(args.kmax + 1):
@@ -113,14 +90,12 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_weights(args) -> int:
-    domain = load_domain(args.domain)
-    _emit(to_document(_load_weights(domain)), args.out, "weights.json")
+    _emit(to_document(as_weights(load_domain(args.domain))), args.out, "weights.json")
     return 0
 
 
 def cmd_realize(args) -> int:
-    domain = load_domain(args.domain)
-    profile = realize(_load_weights(domain))
+    profile = realize(as_weights(load_domain(args.domain)))
     _emit(to_document(profile), args.out, "profile.json")
     return 0
 
@@ -182,14 +157,12 @@ def cmd_chart(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    u = load_domain(args.domain)
-    v = load_domain(args.domain2)
-    params = None
-    if isinstance(u, ParameterVector) and isinstance(v, ParameterVector):
-        params = (u, v)
-        u, v = build_domain(u), build_domain(v)
-    if isinstance(u, ParameterVector) or isinstance(v, ParameterVector):
-        raise EchcapError("distance needs two comparable domains")
+    sides = (load_domain(args.domain), load_domain(args.domain2))
+    # the lemma bound needs both parameter vectors; each quasi-flat side is
+    # compared as its realized profile, so it gets the inclusion bound too
+    flat = [isinstance(side, ParameterVector) for side in sides]
+    params = sides if all(flat) else None
+    u, v = (build_domain(side) if f else side for side, f in zip(sides, flat))
     report = distance_report(u, v, args.kmax, parameters=params)
     doc = {
         "lower_capacity": report.lower_capacity,
@@ -265,7 +238,7 @@ def cmd_certificate(args) -> int:
 
 
 def cmd_weyl(args) -> int:
-    ratio = weyl_ratio(_capacity_domain(args.domain), args.k)
+    ratio = weyl_ratio(load_domain(args.domain), args.k)
     _emit(
         {"k": args.k, "ratio": format_rational(ratio), "ratio_float": float(ratio)},
         args.out,
@@ -306,22 +279,15 @@ def cmd_notsame(args) -> int:
     return _run_experiment(run_notsame, args)
 
 
-def _timed(command: str, func):
-    """The verb ``func``, writing ``<command>_timing.txt`` next to its
-    ``--out`` files."""
-
-    def run(args) -> int:
-        start = time.monotonic()
-        code = func(args)
-        if args.out:
-            write_timing(args.out, command, time.monotonic() - start)
-        return code
-
-    return run
-
-
-def _add_common(parser):
-    parser.add_argument("--out", help="output directory")
+def _timed(args) -> int:
+    """Run the verb, writing ``<verb>_timing.txt`` (``-`` spelled ``_``)
+    next to its ``--out`` files, outside the byte-stable reports."""
+    start = time.monotonic()
+    code = args.func(args)
+    if args.out:
+        timing = Path(args.out) / f"{args.command.replace('-', '_')}_timing.txt"
+        timing.write_text(f"wall_clock_seconds {time.monotonic() - start:.3f}\n")
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,23 +302,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--kmax", type=int)
-    _add_common(p)
-    p.set_defaults(func=_timed("capacity", cmd_capacity))
+    p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("weights", help="weight expansion of a domain")
     p.add_argument("--domain", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("realize", help="realize a weight multiset")
     p.add_argument("--domain", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("build-flat", help="quasi-flat weights from parameters")
     p.add_argument("--params", required=True, help="e.g. 64,4096")
     p.add_argument("--threshold", default="64", choices=["8", "64"])
-    _add_common(p)
     p.set_defaults(func=cmd_build_flat)
 
     p = sub.add_parser("chart", help="chart-embed points of R^n")
@@ -360,47 +322,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", help="inline point, e.g. 0,1/2")
     p.add_argument("--mode", default="exact", choices=["exact", "approx"])
     p.add_argument("--precision", type=int, default=200)
-    _add_common(p)
     p.set_defaults(func=cmd_chart)
 
     p = sub.add_parser("distance", help="distance bounds between two domains")
     p.add_argument("--domain", required=True)
     p.add_argument("--domain2", required=True)
     p.add_argument("--kmax", type=int, default=500)
-    _add_common(p)
-    p.set_defaults(func=_timed("distance", cmd_distance))
+    p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("certificate", help="quasi-flat certificate on a grid")
     p.add_argument("--grid", default="4,16,64,256,1024", help="B_1 values; B_2 = B_1^2")
     p.add_argument("--k-cap", type=int, default=DEFAULT_K_CAP)
     p.add_argument("--no-inclusion", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=_timed("certificate", cmd_certificate))
+    p.set_defaults(func=cmd_certificate)
 
     p = sub.add_parser("lemma-cap", help="capacity growth sweep")
     p.add_argument("--params")
-    _add_common(p)
     p.set_defaults(func=lambda a: _run_experiment(run_lemma_cap_sweep, a))
 
     p = sub.add_parser("ched", help="warm-up inequality experiment")
     p.add_argument("--epsilon")
     p.add_argument("--volume")
     p.add_argument("--kmax", type=int)
-    _add_common(p)
     p.set_defaults(func=lambda a: _run_experiment(run_ched_warmup, a))
 
     p = sub.add_parser("notsame", help="inclusion vs embedding contrast")
     p.add_argument("--epsilon")
     p.add_argument("--kmax", type=int)
-    _add_common(p)
     p.set_defaults(func=cmd_notsame)
 
     p = sub.add_parser("weyl", help="Weyl-law ratio diagnostic")
     p.add_argument("--domain", required=True)
     p.add_argument("--k", type=int, required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_weyl)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", help="output directory")
     return parser
 
 
@@ -409,7 +366,7 @@ def main(argv=None) -> int:
     try:
         if args.out and not Path(args.out).is_dir():
             raise EchcapError(f"output directory does not exist: {Path(args.out)}")
-        return args.func(args)
+        return _timed(args)
     except (EchcapError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

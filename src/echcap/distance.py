@@ -13,13 +13,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .capacities import DEFAULT_ORACLE_LIMIT, CapacityProfile, domain_volume
+from .capacities import DEFAULT_ORACLE_LIMIT, CapacityProfile
 from .errors import DimensionMismatchError, EchcapError, RealizationLimitError
 from .geometry import Ellipsoid, MomentProfile, inclusion_scale
 from .quasiflat import ParameterVector, build_domain, build_weights, q_metric
 
 DEFAULT_SAMPLES_PER_DECADE = 64
 DEFAULT_K_CAP = 10**7
+# fit_quasi_isometry fits A on pairs at least this far apart in d1
+_MIN_SEPARATION = 1.0
 
 
 def sample_indices(k_max: int, per_decade: int = DEFAULT_SAMPLES_PER_DECADE) -> list:
@@ -37,16 +39,15 @@ def sample_indices(k_max: int, per_decade: int = DEFAULT_SAMPLES_PER_DECADE) -> 
 
 
 def capacity_lower_bound(
-    U, V, K: int, per_decade: int = DEFAULT_SAMPLES_PER_DECADE
+    pu: CapacityProfile, pv: CapacityProfile, K: int, per_decade: int = DEFAULT_SAMPLES_PER_DECADE
 ) -> tuple:
     """max over sampled 1 <= k <= K of |ln(c_k(U)/c_k(V))|, a valid lower
-    bound for d_SM(U, V); intervals propagate conservatively.  U and V are
-    domains or CapacityProfiles, which share their capacities across calls.
+    bound for d_SM(U, V); intervals propagate conservatively.  The
+    capacities come from the profiles of U and V, which share them across
+    calls.
 
     Returns (bound, witness_k), witness_k the first k that reaches the
     bound."""
-    pu = U if isinstance(U, CapacityProfile) else CapacityProfile(U, K)
-    pv = V if isinstance(V, CapacityProfile) else CapacityProfile(V, K)
     best = 0.0
     witness = 0
     for k in sample_indices(K, per_decade):
@@ -64,10 +65,11 @@ def capacity_lower_bound(
     return best, witness
 
 
-def volume_lower_bound(U, V) -> float:
-    """Weyl-law limit of the capacity bound: |ln(vol U / vol V)| / 2."""
-    vu = domain_volume(U)
-    vv = domain_volume(V)
+def volume_lower_bound(pu: CapacityProfile, pv: CapacityProfile) -> float:
+    """Weyl-law limit of the capacity bound: |ln(vol U / vol V)| / 2, from
+    the volumes of the profiles of U and V."""
+    vu = pu.volume
+    vv = pv.volume
     if vu <= 0 or vv <= 0:
         raise ValueError("volume lower bound needs positive areas")
     return math.log(max(vu, vv) / min(vu, vv)) / 2
@@ -131,8 +133,9 @@ class DistanceReport:
 
 
 def distance_report(U, V, K: int, parameters: Optional[tuple] = None) -> DistanceReport:
-    lower_cap, witness = capacity_lower_bound(U, V, K)
-    lower_vol = volume_lower_bound(U, V)
+    pu, pv = CapacityProfile(U, K), CapacityProfile(V, K)
+    lower_cap, witness = capacity_lower_bound(pu, pv, K)
+    lower_vol = volume_lower_bound(pu, pv)
     inclusion = None
     if isinstance(U, (Ellipsoid, MomentProfile)) and isinstance(
         V, (Ellipsoid, MomentProfile)
@@ -181,16 +184,14 @@ class QuasiFlatCertificate:
         )
 
 
-def fit_quasi_isometry(
-    d1: Sequence[float], d2: Sequence[float], min_separation: float = 1.0
-) -> tuple:
+def fit_quasi_isometry(d1: Sequence[float], d2: Sequence[float]) -> tuple:
     """Constants (A, B) with d1/A - B <= d2 <= A*d1 + B on the given pairs.
 
-    A is fitted on well-separated pairs (d1 >= min_separation); B absorbs
+    A is fitted on well-separated pairs (d1 >= _MIN_SEPARATION); B absorbs
     the rest.  Purely empirical, reported not assumed."""
     a = 1.0
     for x, y in zip(d1, d2):
-        if x >= min_separation and y > 0:
+        if x >= _MIN_SEPARATION and y > 0:
             a = max(a, y / x, x / y)
     b = 0.0
     for x, y in zip(d1, d2):
@@ -245,10 +246,9 @@ def certificate(
     }
 
     for idx, v, w, metric, wu, ww, k_target in pending:
-        lower_cap, witness = capacity_lower_bound(
-            profiles[wu], profiles[ww], k_target, per_decade=per_decade
-        )
-        lower = max(lower_cap, volume_lower_bound(wu, ww))
+        pu, pv = profiles[wu], profiles[ww]
+        lower_cap, witness = capacity_lower_bound(pu, pv, k_target, per_decade=per_decade)
+        lower = max(lower_cap, volume_lower_bound(pu, pv))
         upper = lemma_upper_bound(v, w, precision=precision)
         if include_inclusion:
             try:

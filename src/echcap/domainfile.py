@@ -1,14 +1,14 @@
-"""Shared domain-description file format.
+"""The domain-description file format, known to this module alone.
 
-A JSON document with a ``type`` discriminator; rationals are "p/q" strings
-and multiplicities decimal strings (they exceed 64 bits for quasi-flat
+A JSON document with a ``type`` discriminator (``ball``, ``ellipsoid``,
+``profile``, ``weights``, ``quasiflat``); rationals are "p/q" strings and
+multiplicities decimal strings (they exceed 64 bits for quasi-flat
 instances).
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from pathlib import Path
 
 from .geometry import Ellipsoid, MomentProfile
@@ -21,11 +21,17 @@ def to_document(obj) -> dict:
     if isinstance(obj, Ellipsoid):
         if obj.a == obj.b:
             return {"type": "ball", "a": format_rational(obj.a)}
-        return obj.to_dict()
+        return {"type": "ellipsoid", "a": format_rational(obj.a), "b": format_rational(obj.b)}
     if isinstance(obj, MomentProfile):
-        return obj.to_dict()
+        return {
+            "type": "profile",
+            "vertices": [[format_rational(x), format_rational(y)] for x, y in obj.vertices],
+        }
     if isinstance(obj, WeightMultiset):
-        return obj.to_dict()
+        return {
+            "type": "weights",
+            "entries": [[format_rational(w), str(m)] for w, m in obj.entries],
+        }
     if isinstance(obj, ParameterVector):
         return {"type": "quasiflat", "B": [format_rational(b) for b in obj.B]}
     raise TypeError(f"cannot serialize {type(obj)!r}")
@@ -38,9 +44,9 @@ def from_document(doc: dict):
     if kind == "ellipsoid":
         return Ellipsoid(parse_rational(doc["a"]), parse_rational(doc["b"]))
     if kind == "profile":
-        return MomentProfile.from_dict(doc)
+        return MomentProfile([(parse_rational(x), parse_rational(y)) for x, y in doc["vertices"]])
     if kind == "weights":
-        return WeightMultiset.from_dict(doc)
+        return WeightMultiset((parse_rational(w), int(m)) for w, m in doc["entries"])
     if kind == "quasiflat":
         return ParameterVector([parse_rational(b) for b in doc["B"]])
     raise ValueError(f"unknown domain type {kind!r}")

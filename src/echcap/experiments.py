@@ -7,7 +7,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -30,7 +29,6 @@ from .weights import WeightMultiset, ellipsoid_weights, realize
 
 # lemma-cap sweep
 VOLUME_INDEX = 1  # M: which parameter carries the volume
-SAMPLES_PER_DECADE = 64
 RATIO_WINDOW = (Fraction(1, 4), Fraction(4))
 # warm-up
 WEYL_CONSTANT = Fraction(10)
@@ -57,7 +55,6 @@ class RunReport:
     rows: list = field(default_factory=list)
     columns: tuple = ()
     verdicts: list = field(default_factory=list)  # (name, passed, detail)
-    wall_clock: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -73,7 +70,8 @@ def _float_str(x) -> str:
 
 def emit_report(report: RunReport, out_dir) -> list:
     """Write the structured report and CSV; bitwise-stable for a fixed
-    config (wall-clock goes to a sidecar excluded from that contract)."""
+    config (the CLI writes wall-clock to a sidecar outside that
+    contract)."""
     out = Path(out_dir)
     if not out.is_dir():
         raise EchcapError(f"output directory does not exist: {out}")
@@ -95,21 +93,12 @@ def emit_report(report: RunReport, out_dir) -> list:
             writer.writerow(report.columns)
             writer.writerows(report.rows)
         written.append(path)
-    write_timing(out, report.command, report.wall_clock)
     return written
-
-
-def write_timing(out_dir, command: str, seconds: float):
-    """The sidecar ``<command>_timing.txt``, outside the byte-stable
-    reports."""
-    timing = Path(out_dir) / f"{command}_timing.txt"
-    timing.write_text(f"wall_clock_seconds {seconds:.3f}\n")
 
 
 def run_lemma_cap_sweep(config: ExperimentConfig) -> RunReport:
     """Sweep c_k over the window where the M-th parameter carries the
     volume and check c_k / sqrt(k * B_M) stays in the configured window."""
-    start = time.monotonic()
     v = ParameterVector(config.params)
     m_index = VOLUME_INDEX
     if not 1 <= m_index < len(v):
@@ -134,7 +123,7 @@ def run_lemma_cap_sweep(config: ExperimentConfig) -> RunReport:
 
     all_in_window = True
     profile = CapacityProfile(weights, k_hi)
-    for k in [k for k in sample_indices(k_hi, SAMPLES_PER_DECADE) if k >= k_lo]:
+    for k in [k for k in sample_indices(k_hi) if k >= k_lo]:
         lo, hi = profile.interval(k)
         # r in [lo_win, hi_win] iff lo^2 >= lo_win^2 k B_M and
         # hi^2 <= hi_win^2 k B_M, compared exactly.
@@ -164,7 +153,6 @@ def run_lemma_cap_sweep(config: ExperimentConfig) -> RunReport:
             anchor.best == fast_lo.best,
             f"c_{k_lo} = {anchor.best} (oracle) vs {fast_lo.best} (fast)",
         )
-    report.wall_clock = time.monotonic() - start
     return report
 
 
@@ -187,7 +175,6 @@ def ched_weight_model(epsilon: Fraction, volume: Fraction) -> WeightMultiset:
 def run_ched_warmup(config: ExperimentConfig) -> RunReport:
     """Check c_{k0}(X) <= c_{k0}(B(1)) + 1 for the thin-tail domain with
     Gromov width 1 and large volume, against the Weyl-side growth."""
-    start = time.monotonic()
     eps = Fraction(config.epsilon)
     vol = Fraction(config.volume)
     weights = ched_weight_model(eps, vol)
@@ -229,7 +216,6 @@ def run_ched_warmup(config: ExperimentConfig) -> RunReport:
     report.verdict(
         "area_window", vol <= area <= vol + 1, f"area = {float(area):.6f}"
     )
-    report.wall_clock = time.monotonic() - start
     return report
 
 
@@ -250,7 +236,6 @@ def run_notsame(config: ExperimentConfig) -> RunReport:
     # vacuously; a negative k_max is refused by the sweep as an index
     if config.k_max == 0:
         raise ValueError("notsame needs k_max >= 1")
-    start = time.monotonic()
     eps = Fraction(config.epsilon)
     weights = notsame_weights(eps)
     profile = realize(weights)
@@ -299,5 +284,4 @@ def run_notsame(config: ExperimentConfig) -> RunReport:
         incl.distance >= sup_ratio - 1e-12,
         "d_I dominates the capacity bound",
     )
-    report.wall_clock = time.monotonic() - start
     return report

@@ -21,7 +21,7 @@ from math import lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import DegenerateRegionError
-from .scalars import Scalar, format_rational, parse_rational
+from .scalars import Scalar
 
 
 @dataclass(frozen=True)
@@ -47,13 +47,6 @@ class Ellipsoid:
 
     def profile(self) -> "MomentProfile":
         return MomentProfile([(0, self.b), (self.a, 0)])
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "ellipsoid",
-            "a": format_rational(self.a),
-            "b": format_rational(self.b),
-        }
 
 
 def _kept_vertices(pts: Sequence) -> list:
@@ -169,20 +162,6 @@ class MomentProfile:
     @property
     def y_extent(self) -> Scalar:
         return self.vertices[0][1]
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "profile",
-            "vertices": [
-                [format_rational(x), format_rational(y)] for x, y in self.vertices
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MomentProfile":
-        return cls(
-            [(parse_rational(x), parse_rational(y)) for x, y in data["vertices"]]
-        )
 
 
 Region = Union[MomentProfile, Ellipsoid]

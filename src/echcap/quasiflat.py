@@ -227,11 +227,17 @@ def chart_embed(
 ) -> ChartPoint:
     """Fold, apply the doubling map, exponentiate; in "exact" snap mode each
     e^{y_j} is rounded to the nearest admissible parameter (a perfect
-    square, so B^{j+1} is integral and every weight is rational)."""
+    square, so B^{j+1} is integral and every weight is rational).
+
+    The work runs at ``precision`` bits, and at least 64 bits past the
+    integer part of the largest |y_j|.  The snap error 2 ln m - y_j is the
+    difference of two numbers of about that size, so this keeps 64 bits of
+    it; at 1 bit both the root and the error round, and the error reads 0."""
     _check_precision(precision)
     folded = fold(x)
     y = map_linear(folded)
-    with mpmath.workprec(precision):
+    floor_bits = math.ceil(max(abs(v) for v in y)).bit_length() + 64
+    with mpmath.workprec(max(precision, floor_bits)):
         exact_b = []
         approx_b = []
         errors = []

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 from .errors import NonterminationError, RealizationLimitError
 from .geometry import Ellipsoid, MomentProfile, _kept_vertices
-from .scalars import Scalar, format_rational, parse_rational
+from .scalars import Scalar
 
 DEFAULT_STEP_LIMIT = 10**6
 DEFAULT_REALIZATION_LIMIT = 10**4
@@ -85,20 +85,6 @@ class WeightMultiset:
 
     def union(self, other: "WeightMultiset") -> "WeightMultiset":
         return WeightMultiset(list(self.entries) + list(other.entries))
-
-    def to_dict(self) -> dict:
-        # Multiplicities as decimal strings: they exceed 64 bits for
-        # quasi-flat instances.
-        return {
-            "type": "weights",
-            "entries": [[format_rational(w), str(m)] for w, m in self.entries],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WeightMultiset":
-        return cls(
-            (parse_rational(w), int(m)) for w, m in data["entries"]
-        )
 
 
 def ellipsoid_weights(e: Ellipsoid) -> WeightMultiset:

@@ -9,8 +9,8 @@ from echcap import capacities
 from echcap.capacities import (
     CapacityProfile,
     _floor_sum,
+    as_weights,
     ball_capacity,
-    domain_volume,
     ellipsoid_capacity,
     multiset_capacity_fast,
     multiset_capacity_oracle,
@@ -18,8 +18,10 @@ from echcap.capacities import (
     multiset_capacity_table,
     weyl_ratio,
 )
+from echcap.domainfile import load_domain, save_domain
 from echcap.errors import ResourceLimitError
-from echcap.geometry import Ellipsoid, MomentProfile
+from echcap.geometry import Ellipsoid, MomentProfile, area
+from echcap.quasiflat import ParameterVector
 from echcap.weights import WeightMultiset, ellipsoid_weights
 
 
@@ -327,7 +329,56 @@ def test_capacity_interval_dispatch():
 
 
 def test_weyl_ratio_converges():
-    assert domain_volume(Ellipsoid.ball(1)) == Fraction(1, 2)
+    assert CapacityProfile(Ellipsoid.ball(1), 0).volume == Fraction(1, 2)
     r = weyl_ratio(Ellipsoid.ball(1), 5000)
     assert abs(r - 1) < Fraction(1, 20)
     assert weyl_ratio(Ellipsoid.ball(1), 100) == Fraction(169, 200)
+
+
+@pytest.mark.parametrize(
+    "domain, weights",
+    [
+        (Ellipsoid.ball(2), [(2, 1)]),
+        (Ellipsoid(1, Fraction(5, 2)), [(1, 2), (Fraction(1, 2), 2)]),
+        (MomentProfile([(0, 3), (1, 1), (3, 0)]), [(2, 1), (1, 2)]),
+        (WeightMultiset([(Fraction(2, 3), 5), (1, 1)]), [(1, 1), (Fraction(2, 3), 5)]),
+        (ParameterVector([4, 16]), [(Fraction(1, 2), 16), (Fraction(1, 16), 4096)]),
+    ],
+)
+def test_as_weights_of_domain_files(domain, weights, tmp_path):
+    path = tmp_path / "domain.json"
+    save_domain(domain, path)
+    assert as_weights(load_domain(path)) == WeightMultiset(weights)
+
+
+@pytest.mark.parametrize("obj", [object(), Fraction(1), [(0, 1), (1, 0)], {"type": "ball"}])
+def test_as_weights_of_other_objects(obj):
+    with pytest.raises(TypeError, match="unsupported domain type"):
+        as_weights(obj)
+    with pytest.raises(TypeError, match="unsupported domain type"):
+        CapacityProfile(obj, 3)
+
+
+def random_region(rng):
+    """An ellipsoid, or a convex profile of 1-6 edges with rational slopes
+    and lengths."""
+    if rng.random() < 0.3:
+        return Ellipsoid(*(Fraction(rng.randint(1, 60), rng.randint(1, 12)) for _ in range(2)))
+    slopes = {Fraction(rng.randint(1, 40), rng.randint(1, 12)) for _ in range(rng.randint(1, 6))}
+    pts = [(Fraction(0), Fraction(0))]
+    for s in sorted(slopes, reverse=True):  # steepest first: convex
+        dx = Fraction(rng.randint(1, 20), rng.randint(1, 8))
+        pts.append((pts[-1][0] + dx, pts[-1][1] - s * dx))
+    lift = -pts[-1][1]
+    return MomentProfile([(x, y + lift) for x, y in pts])
+
+
+def test_profile_volume_is_the_area():
+    """An ellipsoid's volume is its triangle's area; a profile's is the
+    total ball volume of its weights, which fill the region exactly."""
+    rng = random.Random(2014)
+    for _ in range(2000):
+        region = random_region(rng)
+        assert CapacityProfile(region, 0).volume == area(region)
+    w = WeightMultiset([(Fraction(1, 2), 16), (Fraction(1, 16), 4096)])
+    assert CapacityProfile(ParameterVector([4, 16]), 0).volume == w.total_area() == 10

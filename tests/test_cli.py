@@ -337,6 +337,17 @@ def test_chart_precision_below_one(precision, tmp_path, capsys):
     assert captured.err == f"error: precision must be >= 1 bit, got {precision}\n" * 2
 
 
+@pytest.mark.parametrize("precision", ["1", "4", "16"])
+def test_chart_low_precision_snaps_as_the_default(precision, capsys):
+    """The snap runs at least 64 bits past the integer part of y, so a low
+    precision gives the default's parameters and a nonzero snap error."""
+    assert main(["chart", "--x", "0", f"--precision={precision}"]) == 0
+    rows = _csv_rows(capsys)
+    assert rows[1] == ["0", "6;15", "400/1;3268864/1", "0.00853545;4.69181e-05"]
+    assert main(["chart", "--x", "0"]) == 0
+    assert _csv_rows(capsys) == rows
+
+
 def test_distance_verb(ball_file, ellipsoid_file, capsys):
     rc = main(
         ["distance", "--domain", ball_file, "--domain2", ellipsoid_file, "--kmax", "50"]
@@ -362,6 +373,25 @@ def test_distance_of_quasiflat_files(tmp_path, capsys):
     assert doc["upper"] == doc["upper_inclusion"]["distance"] < doc["upper_lemma"]
 
 
+@pytest.mark.parametrize("other", ["ball_file", "ellipsoid_file", "profile_file", "weights_file"])
+def test_distance_of_quasiflat_and_other_domain(other, quasiflat_file, request, capsys):
+    """A quasi-flat file against any other domain is compared as its
+    realized profile: capacity and volume bounds always, the inclusion
+    bound against a moment region, and no lemma bound, which needs two
+    parameter vectors."""
+    other_file = request.getfixturevalue(other)
+    for sides in ([quasiflat_file, other_file], [other_file, quasiflat_file]):
+        assert main(["distance", "--domain", sides[0], "--domain2", sides[1], "--kmax", "100"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        u, v = (load_domain(path) for path in sides)
+        u, v = (build_domain(d) if isinstance(d, ParameterVector) else d for d in (u, v))
+        want = distance_report(u, v, 100)
+        assert doc["upper_lemma"] is None and doc["consistent"] is True
+        assert (doc["lower_capacity"], doc["lower_volume"]) == (want.lower_capacity, want.lower_volume)
+        assert (doc["upper_inclusion"] is None) == (other == "weights_file")
+        assert doc["lower_volume"] > 0  # the quasi-flat has volume 10, the others at most 2
+
+
 def test_certificate_out_with_skipped_pairs(tmp_path, capsys):
     """B = 5 has no rational square root, so its pairs are skipped: null in
     the JSON, empty cells in the CSV."""
@@ -378,6 +408,15 @@ def test_certificate_out_with_skipped_pairs(tmp_path, capsys):
             assert row[2] != ""
 
 
+# the second file a verb writes with --out, after the one in its row below
+SECOND_REPORT = {
+    "certificate": "certificate.csv",
+    "lemma-cap": "lemma_cap.csv",
+    "ched": "ched.csv",
+    "notsame": "notsame.csv",
+}
+
+
 @pytest.mark.parametrize(
     "verb, args, report",
     [
@@ -385,11 +424,20 @@ def test_certificate_out_with_skipped_pairs(tmp_path, capsys):
         ("capacity", ["--domain", "BALL", "--kmax", "7"], "capacity.csv"),
         ("distance", ["--domain", "BALL", "--domain2", "ELLIPSOID", "--kmax", "50"], "distance.json"),
         ("certificate", ["--grid", "4,16"], "certificate.json"),
+        ("weights", ["--domain", "ELLIPSOID"], "weights.json"),
+        ("realize", ["--domain", "ELLIPSOID"], "profile.json"),
+        ("build-flat", ["--params", "4,16"], "quasiflat.json"),
+        ("chart", ["--x", "0"], "chart.csv"),
+        ("lemma-cap", [], "lemma_cap_report.json"),
+        ("ched", ["--kmax", "10"], "ched_report.json"),
+        ("notsame", ["--epsilon", "1/4", "--kmax", "20"], "notsame_report.json"),
+        ("weyl", ["--domain", "BALL", "--k", "100"], "weyl.json"),
     ],
 )
 def test_timing_sidecar(verb, args, report, ball_file, ellipsoid_file, tmp_path, capsys):
-    """--out adds <verb>_timing.txt next to the report, whose bytes are
-    what standard output gets without --out."""
+    """--out adds <verb>_timing.txt (with _ for -) next to the reports.  The
+    first report holds what standard output gets without --out, except for
+    the experiment drivers, which print their verdicts either way."""
     files = {"BALL": ball_file, "ELLIPSOID": ellipsoid_file}
     argv = [verb] + [files.get(a, a) for a in args]
     assert main(argv) == 0
@@ -397,10 +445,14 @@ def test_timing_sidecar(verb, args, report, ball_file, ellipsoid_file, tmp_path,
     out = tmp_path / "out"
     out.mkdir()
     assert main(argv + ["--out", str(out)]) == 0
-    names = {p.name for p in out.iterdir()}
-    assert names == {report, f"{verb}_timing.txt"} | ({"certificate.csv"} if verb == "certificate" else set())
-    assert re.fullmatch(r"wall_clock_seconds \d+\.\d{3}\n", (out / f"{verb}_timing.txt").read_text())
-    assert (out / report).read_bytes() == printed.encode()
+    timing = f"{verb.replace('-', '_')}_timing.txt"
+    reports = {report, SECOND_REPORT.get(verb, report)}
+    assert {p.name for p in out.iterdir()} == reports | {timing}
+    assert re.fullmatch(r"wall_clock_seconds \d+\.\d{3}\n", (out / timing).read_text())
+    if verb in ("lemma-cap", "ched", "notsame"):
+        assert capsys.readouterr().out == printed
+    else:
+        assert (out / report).read_bytes() == printed.encode()
 
 
 def test_weyl_verb(ball_file, capsys):
@@ -501,17 +553,14 @@ def test_bad_domain_file(tmp_path, capsys):
 
 
 def test_report_bytes_deterministic(tmp_path):
-    cfg = ExperimentConfig(epsilon="1/4", k_max=100)
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    out_a.mkdir()
-    out_b.mkdir()
-    emit_report(run_notsame(cfg), out_a)
-    emit_report(run_notsame(cfg), out_b)
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        out.mkdir()
+        assert main(["notsame", "--epsilon", "1/4", "--kmax", "100", "--out", str(out)]) == 0
     for name in ("notsame_report.json", "notsame.csv"):
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
     # wall clock lives in the sidecar, outside the deterministic contract
-    assert (out_a / "notsame_timing.txt").exists()
+    assert all((out / "notsame_timing.txt").exists() for out in outs)
 
 
 def test_ched_report_files(tmp_path):

@@ -17,7 +17,7 @@ from echcap.distance import (
 from echcap.errors import DimensionMismatchError
 from echcap.geometry import Ellipsoid
 from echcap.quasiflat import ParameterVector, build_weights
-from echcap.weights import WeightMultiset
+from echcap.weights import WeightMultiset, realize
 
 
 def test_sample_indices():
@@ -32,14 +32,15 @@ def test_sample_indices():
 
 def test_capacity_lower_bound_scaled_balls():
     # c_k(B(2)) = 2 c_k(B(1)) for every k, so the bound is exactly ln 2
-    bound, witness = capacity_lower_bound(Ellipsoid.ball(1), Ellipsoid.ball(2), 100)
+    balls = CapacityProfile(Ellipsoid.ball(1), 100), CapacityProfile(Ellipsoid.ball(2), 100)
+    bound, witness = capacity_lower_bound(*balls, 100)
     assert bound == pytest.approx(math.log(2))
     assert witness >= 1
 
 
 def test_capacity_lower_bound_symmetry():
-    u = Ellipsoid(1, 2)
-    v = Ellipsoid(1, 3)
+    u = CapacityProfile(Ellipsoid(1, 2), 200)
+    v = CapacityProfile(Ellipsoid(1, 3), 200)
     b_uv, _ = capacity_lower_bound(u, v, 200)
     b_vu, _ = capacity_lower_bound(v, u, 200)
     assert b_uv == pytest.approx(b_vu)
@@ -47,10 +48,14 @@ def test_capacity_lower_bound_symmetry():
 
 
 def test_volume_lower_bound():
-    assert volume_lower_bound(Ellipsoid.ball(1), Ellipsoid.ball(2)) == pytest.approx(
-        math.log(2)
-    )
-    assert volume_lower_bound(Ellipsoid(1, 2), Ellipsoid(1, 2)) == 0
+    def volume_bound(u, v):
+        return volume_lower_bound(CapacityProfile(u, 0), CapacityProfile(v, 0))
+
+    assert volume_bound(Ellipsoid.ball(1), Ellipsoid.ball(2)) == pytest.approx(math.log(2))
+    assert volume_bound(Ellipsoid(1, 2), Ellipsoid(1, 2)) == 0
+    # a profile and its weights have the same volume
+    w = WeightMultiset([(2, 1), (Fraction(1, 3), 5)])
+    assert volume_bound(realize(w), w) == 0
 
 
 def test_inclusion_distance():
@@ -133,13 +138,10 @@ def test_certificate_rows_match_separate_lower_bounds():
     for (v, w), p in zip(pairs, cert.pairs):
         wu, ww = build_weights(v), build_weights(w)
         k_target = min(400, max(int(b ** (i + 2)) for x in (v, w) for i, b in enumerate(x.B)))
-        bound, witness = capacity_lower_bound(
-            CapacityProfile(wu, k_target, oracle_limit=300),
-            CapacityProfile(ww, k_target, oracle_limit=300),
-            k_target,
-            per_decade=16,
-        )
-        assert p.lower == max(bound, volume_lower_bound(wu, ww))
+        pu = CapacityProfile(wu, k_target, oracle_limit=300)
+        pw = CapacityProfile(ww, k_target, oracle_limit=300)
+        bound, witness = capacity_lower_bound(pu, pw, k_target, per_decade=16)
+        assert p.lower == max(bound, volume_lower_bound(pu, pw))
         assert p.witness_k == witness
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from echcap.domainfile import from_document, to_document
 from echcap.errors import RealizationLimitError
 from echcap.geometry import Ellipsoid, MomentProfile, area
 from echcap.quasiflat import ParameterVector, build_weights
@@ -39,7 +40,7 @@ def test_multiset_scaled_and_union():
 
 def test_serialization_roundtrip():
     w = WeightMultiset([(Fraction(1, 4096), 68719476736), (Fraction(1, 8), 4096)])
-    assert WeightMultiset.from_dict(w.to_dict()) == w
+    assert from_document(to_document(w)) == w
 
 
 def test_ellipsoid_weights_examples():
