@@ -25,7 +25,7 @@ from ._kernels import _max_units, backtrack, half_cost, tier_dp, tier_plans
 from .errors import ResourceLimitError
 from .geometry import Ellipsoid, MomentProfile, area
 from .quasiflat import ParameterVector, build_weights
-from .scalars import Scalar
+from .scalars import Scalar, fractions_over
 from .weights import WeightMultiset, ellipsoid_weights, weight_expansion
 
 # The largest DP budget 2k of the oracle and the sweep, so CapacityProfile
@@ -228,11 +228,11 @@ def multiset_capacity_table(
 def multiset_capacity_sweep(
     w: WeightMultiset, k_max: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT
 ) -> list:
-    """Exact c_k for every k in 0..k_max from a single DP run."""
+    """Exact c_k for every k in 0..k_max from a single DP run, as a fresh
+    list of ``Fraction``s: the integer table's values over its denominator,
+    reduced in numpy and built by ``scalars.fractions_over``."""
     dp, den = multiset_capacity_table(w, k_max, oracle_limit)
-    if den == 1:  # integral values: Fraction(v) takes no gcd
-        return list(map(Fraction, dp.tolist()))
-    return [Fraction(v, den) for v in dp.tolist()]
+    return fractions_over(dp, den)
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +446,9 @@ class CapacityProfile:
     take every c_k up to ``reach`` = min(k_max, oracle_limit // 2) exactly
     from one DP sweep, kept as the integer DP array and its denominator,
     and c_k above it from ``multiset_capacity_fast``: exact, or an interval
-    when its window DP is over the cell limit.  Intervals are memoized by
-    k for the life of the profile.
+    when its window DP is over the cell limit.  The sweep runs on the first
+    query at or below ``reach``, so a profile asked only above it runs
+    none.  Intervals are memoized by k for the life of the profile.
 
     ``volume`` is the domain's symplectic volume: the area of an
     ellipsoid's moment triangle, and otherwise the total ball volume of
@@ -463,8 +464,9 @@ class CapacityProfile:
             domain = as_weights(domain)
             self.volume = domain.total_area()
             self.reach = min(k_max, oracle_limit // 2)
-            self._dp, self._den = multiset_capacity_table(domain, self.reach, oracle_limit)
         self.domain = domain
+        self._oracle_limit = oracle_limit
+        self._table = None
         self._memo = {}
 
     def interval(self, k: int) -> tuple:
@@ -479,7 +481,10 @@ class CapacityProfile:
                     c = ellipsoid_capacity(domain, k)
                 self._memo[k] = (c, c)
             elif k <= self.reach:
-                c = Fraction(int(self._dp[k]), self._den)
+                if self._table is None:
+                    self._table = multiset_capacity_table(domain, self.reach, self._oracle_limit)
+                dp, den = self._table
+                c = Fraction(int(dp[k]), den)
                 self._memo[k] = (c, c)
             else:
                 result = multiset_capacity_fast(domain, k)

@@ -1,14 +1,24 @@
 """Exact rational scalars and the "p/q" wire format.
 
 All coordinates, weights and capacities in the exact engines are
-``fractions.Fraction`` values; this module only adds the serialization and
-the handful of root/power helpers the rest of the package needs.
+``fractions.Fraction`` values; this module only adds the serialization, the
+handful of root/power helpers the rest of the package needs, and one batch
+constructor, ``fractions_over``, for the DP sweep's c_k list.  That
+constructor reduces every value against the common denominator in numpy and
+then fills the two slots of each ``Fraction`` directly, as CPython's own
+``Fraction._from_coprime_ints`` (3.12+) does: ``Fraction(v, den)`` spends
+most of its time on a per-call gcd and argument checks that a reduced,
+positive pair does not need.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
+from itertools import repeat
 from math import isqrt
+
+import numpy as np
 
 Scalar = Fraction
 
@@ -64,3 +74,31 @@ def half_integer_power(base: Fraction, half_steps: int) -> Fraction | None:
             return None
         result *= root
     return 1 / result if negative else result
+
+
+def fractions_over(values: np.ndarray, den: int) -> list:
+    """A fresh list equal to ``[Fraction(int(v), den) for v in values]``,
+    for a 1-D integer array ``values`` (int32, int64 or object dtype) and an
+    integer ``den`` >= 1.
+
+    The gcds and quotients run in numpy, in int64 when ``den`` is below
+    2^62 (the DP's own int64 bound) and on Python integers (object dtype)
+    otherwise, since numpy refuses a Python integer wider than the array's
+    dtype.  With ``den`` = 1 there is nothing to reduce.  Each pair is coprime
+    with a positive denominator, so the objects are made by
+    ``object.__new__`` and their ``_numerator`` and ``_denominator`` slots
+    set in C-level ``map`` passes, with no Python code per element.
+    """
+    if den == 1:
+        nums = values.tolist()
+        dens = repeat(1)
+    else:
+        if values.dtype != object:
+            values = values.astype(np.int64 if den < 2**62 else object, copy=False)
+        g = np.gcd(values, den)
+        nums = (values // g).tolist()
+        dens = (den // g).tolist()
+    out = list(map(object.__new__, repeat(Fraction, len(values))))
+    deque(map(setattr, out, repeat("_numerator"), nums), maxlen=0)
+    deque(map(setattr, out, repeat("_denominator"), dens), maxlen=0)
+    return out

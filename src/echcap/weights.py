@@ -70,10 +70,6 @@ class WeightMultiset:
     def __len__(self):
         return len(self.entries)
 
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.entries)
-
     def total_area(self) -> Scalar:
         return sum((m * w * w / 2 for w, m in self.entries), Fraction(0))
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -184,6 +185,37 @@ def test_sweep_matches_oracle():
         assert sweep[k] == multiset_capacity_oracle(wm, k).best
 
 
+@pytest.mark.parametrize(
+    "entries, lane, den",
+    [
+        ([(2, 3), (1, 5)], "int32", 1),
+        ([(2, 3), (Fraction(1, 2), 5)], "int32", 2),
+        ([(Fraction(1, 2**70), 40)], "int32", 2**70),
+        ([(10**9, 3), (1, 5)], "int64", 1),
+        ([(Fraction(10**9, 7), 3), (Fraction(1, 3), 5)], "int64", 21),
+        ([(10**20, 2), (1, 3)], "object", 1),
+        ([(1, 4), (Fraction(1, 10**30), 3)], "object", 10**30),
+    ],
+)
+def test_sweep_fractions_match_the_constructor(entries, lane, den):
+    """Every c_k of the sweep is a real Fraction equal, hash, repr and
+    pickle included, to Fraction(v, den) on the integer table, in every
+    DP lane and with den = 1 and den != 1; each call returns a new list."""
+    wm = WeightMultiset(entries)
+    table, table_den = multiset_capacity_table(wm, 60)
+    assert (table.dtype.name, table_den) == (lane, den)
+    sweep = multiset_capacity_sweep(wm, 60)
+    assert len(sweep) == 61
+    for x, v in zip(sweep, table):
+        ref = Fraction(int(v), den)
+        assert type(x) is Fraction
+        assert type(x.numerator) is int and type(x.denominator) is int
+        assert x == ref and hash(x) == hash(ref) and repr(x) == repr(ref)
+        assert pickle.dumps(x) == pickle.dumps(ref)
+    again = multiset_capacity_sweep(wm, 60)
+    assert again == sweep and again is not sweep
+
+
 def test_capacities_nondecreasing():
     wm = WeightMultiset([(Fraction(5, 7), 4), (Fraction(2, 9), 11)])
     sweep = multiset_capacity_sweep(wm, 100)
@@ -326,6 +358,27 @@ def test_capacity_interval_dispatch():
         assert lo <= multiset_capacity_oracle(wm, k).best <= hi
         if k <= profile.reach:
             assert lo == hi
+
+
+def test_profile_above_reach_runs_no_sweep(monkeypatch):
+    """A profile asked only above its reach never builds the sweep table;
+    the first query at or below the reach builds it once."""
+    calls = []
+
+    def table(*args):
+        calls.append(args)
+        return multiset_capacity_table(*args)
+
+    monkeypatch.setattr(capacities, "multiset_capacity_table", table)
+    wm = WeightMultiset([(Fraction(3, 2), 4), (Fraction(1, 3), 7)])
+    profile = CapacityProfile(wm, 40, oracle_limit=10)
+    assert profile.reach == 5
+    for k in (6, 23, 40):
+        assert profile.interval(k)[0] == multiset_capacity_oracle(wm, k).best
+    assert calls == []
+    for k in (5, 0, 3):
+        assert profile.interval(k)[0] == multiset_capacity_oracle(wm, k).best
+    assert len(calls) == 1
 
 
 def test_weyl_ratio_converges():

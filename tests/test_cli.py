@@ -553,14 +553,16 @@ def test_bad_domain_file(tmp_path, capsys):
 
 
 def test_report_bytes_deterministic(tmp_path):
-    outs = [tmp_path / "a", tmp_path / "b"]
-    for out in outs:
-        out.mkdir()
-        assert main(["notsame", "--epsilon", "1/4", "--kmax", "100", "--out", str(out)]) == 0
-    for name in ("notsame_report.json", "notsame.csv"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-    # wall clock lives in the sidecar, outside the deterministic contract
-    assert all((out / "notsame_timing.txt").exists() for out in outs)
+    runs = {"notsame": ["--epsilon", "1/4", "--kmax", "100"], "ched": ["--kmax", "40"]}
+    for verb, args in runs.items():
+        outs = [tmp_path / verb / "a", tmp_path / verb / "b"]
+        for out in outs:
+            out.mkdir(parents=True)
+            assert main([verb, *args, "--out", str(out)]) == 0
+        for name in (f"{verb}_report.json", f"{verb}.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        # wall clock lives in the sidecar, outside the deterministic contract
+        assert all((out / f"{verb}_timing.txt").exists() for out in outs)
 
 
 def test_ched_report_files(tmp_path):

@@ -20,7 +20,6 @@ from echcap.weights import (
 def test_multiset_merges_and_sorts():
     w = WeightMultiset([(Fraction(1, 2), 3), (1, 1), (Fraction(1, 2), 2)])
     assert w.entries == ((Fraction(1), 1), (Fraction(1, 2), 5))
-    assert w.total_multiplicity == 6
     assert w.total_area() == Fraction(1, 2) + 5 * Fraction(1, 8)
 
 
