@@ -24,7 +24,7 @@ from typing import Optional
 from ._kernels import _max_units, backtrack, half_cost, tier_dp, tier_plans
 from .errors import ResourceLimitError
 from .geometry import Ellipsoid, MomentProfile, area
-from .quasiflat import ParameterVector, build_weights
+from .quasiflat import ParameterVector, build_domain, build_weights
 from .scalars import Scalar, fractions_over
 from .weights import WeightMultiset, ellipsoid_weights, weight_expansion
 
@@ -51,10 +51,6 @@ class ClassAssignment:
     @property
     def value(self) -> Scalar:
         return (self.copies * self.level + self.promoted) * self.weight
-
-    @property
-    def units(self) -> int:
-        return self.copies * self.level + self.promoted
 
 
 @dataclass(frozen=True)
@@ -90,8 +86,8 @@ class CapacityResult:
 
 
 def relative_gap(lo: Scalar, hi: Scalar) -> Scalar:
-    """(hi - lo) / lo for an interval on c_k, and 0 when lo = 0."""
-    return Fraction(0) if lo == 0 else (hi - lo) / lo
+    """(hi - lo) / lo for an interval on c_k, and 0 when lo = 0 or lo = hi."""
+    return Fraction(0) if lo == 0 or lo == hi else (hi - lo) / lo
 
 
 def ball_capacity(a, k: int) -> Scalar:
@@ -434,6 +430,20 @@ def as_weights(domain) -> WeightMultiset:
         return weight_expansion(domain)[0]
     if isinstance(domain, ParameterVector):
         return build_weights(domain)
+    raise TypeError(f"unsupported domain type {type(domain)!r}")
+
+
+def as_region(domain) -> Ellipsoid | MomentProfile | None:
+    """The moment region of any domain a domain file describes, for the
+    inclusion bound: an ellipsoid or profile as is, a quasi-flat parameter
+    vector by its realization, and None for a weight multiset, which has
+    none."""
+    if isinstance(domain, (Ellipsoid, MomentProfile)):
+        return domain
+    if isinstance(domain, ParameterVector):
+        return build_domain(domain)
+    if isinstance(domain, WeightMultiset):
+        return None
     raise TypeError(f"unsupported domain type {type(domain)!r}")
 
 

@@ -27,13 +27,7 @@ from .experiments import (
     run_lemma_cap_sweep,
     run_notsame,
 )
-from .quasiflat import (
-    ParameterVector,
-    build_domain,
-    build_weights,
-    chart_embed,
-    validate_parameters,
-)
+from .quasiflat import ParameterVector, build_weights, chart_embed, validate_parameters
 from .scalars import format_rational, parse_rational
 from .weights import realize
 
@@ -157,13 +151,7 @@ def cmd_chart(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    sides = (load_domain(args.domain), load_domain(args.domain2))
-    # the lemma bound needs both parameter vectors; each quasi-flat side is
-    # compared as its realized profile, so it gets the inclusion bound too
-    flat = [isinstance(side, ParameterVector) for side in sides]
-    params = sides if all(flat) else None
-    u, v = (build_domain(side) if f else side for side, f in zip(sides, flat))
-    report = distance_report(u, v, args.kmax, parameters=params)
+    report = distance_report(load_domain(args.domain), load_domain(args.domain2), args.kmax)
     doc = {
         "lower_capacity": report.lower_capacity,
         "capacity_witness_k": report.capacity_witness_k,

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .capacities import DEFAULT_ORACLE_LIMIT, CapacityProfile
+from .capacities import DEFAULT_ORACLE_LIMIT, CapacityProfile, as_region
 from .errors import DimensionMismatchError, EchcapError, RealizationLimitError
-from .geometry import Ellipsoid, MomentProfile, inclusion_scale
-from .quasiflat import ParameterVector, build_domain, build_weights, q_metric
+from .geometry import inclusion_scale
+from .quasiflat import ParameterVector, build_weights, q_metric
+from .weights import realize
 
 DEFAULT_SAMPLES_PER_DECADE = 64
 DEFAULT_K_CAP = 10**7
@@ -100,8 +101,11 @@ def lemma_upper_bound(
     """(N/2 + 1) * ||v, w|| + 1 from the smoothing/scaling construction."""
     if len(v) != len(w):
         raise DimensionMismatchError("parameter vectors must share a dimension")
-    n = len(v)
-    metric = float(q_metric(v.B, w.B, precision=precision))
+    return _lemma_bound(len(v), float(q_metric(v.B, w.B, precision=precision)))
+
+
+def _lemma_bound(n: int, metric: float) -> float:
+    """The lemma bound of two n-entry vectors at q-metric distance ``metric``."""
     return (n / 2 + 1) * metric + 1.0
 
 
@@ -132,25 +136,27 @@ class DistanceReport:
         return upper is None or self.lower <= upper + 1e-12
 
 
-def distance_report(U, V, K: int, parameters: Optional[tuple] = None) -> DistanceReport:
-    pu, pv = CapacityProfile(U, K), CapacityProfile(V, K)
-    lower_cap, witness = capacity_lower_bound(pu, pv, K)
-    lower_vol = volume_lower_bound(pu, pv)
+def _report(pu, pv, K: int, per_decade: int, u_region, v_region, lemma) -> DistanceReport:
+    """The bounds of one pair from its two capacity profiles, its moment
+    regions (None for a domain without one) and its lemma bound, if any."""
+    lower_cap, witness = capacity_lower_bound(pu, pv, K, per_decade=per_decade)
     inclusion = None
-    if isinstance(U, (Ellipsoid, MomentProfile)) and isinstance(
-        V, (Ellipsoid, MomentProfile)
-    ):
-        inclusion = inclusion_distance(U, V)
+    if u_region is not None and v_region is not None:
+        inclusion = inclusion_distance(u_region, v_region)
+    return DistanceReport(lower_cap, witness, volume_lower_bound(pu, pv), inclusion, lemma)
+
+
+def distance_report(U, V, K: int) -> DistanceReport:
+    """Bounds on d_SM(U, V) for any two domains a domain file describes:
+    the capacity and volume bounds always, the inclusion bound when both
+    have a moment region (a weight multiset has none), and the lemma bound
+    when both are quasi-flat parameter vectors."""
+    regions = as_region(U), as_region(V)
+    pu, pv = CapacityProfile(U, K), CapacityProfile(V, K)
     lemma = None
-    if parameters is not None:
-        lemma = lemma_upper_bound(parameters[0], parameters[1])
-    return DistanceReport(
-        lower_capacity=lower_cap,
-        capacity_witness_k=witness,
-        lower_volume=lower_vol,
-        upper_inclusion=inclusion,
-        upper_lemma=lemma,
-    )
+    if isinstance(U, ParameterVector) and isinstance(V, ParameterVector):
+        lemma = lemma_upper_bound(U, V)
+    return _report(pu, pv, K, DEFAULT_SAMPLES_PER_DECADE, *regions, lemma)
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +184,8 @@ class QuasiFlatCertificate:
 
     @property
     def consistent(self) -> bool:
-        return all(
-            p.skipped or p.lower is None or p.upper is None or p.lower <= p.upper + 1e-12
-            for p in self.pairs
-        )
+        # an evaluated pair always has both bounds: its upper has the lemma
+        return all(p.skipped or p.lower <= p.upper + 1e-12 for p in self.pairs)
 
 
 def fit_quasi_isometry(d1: Sequence[float], d2: Sequence[float]) -> tuple:
@@ -211,13 +215,16 @@ def certificate(
     fit the quasi-isometry sandwich constants.
 
     K is chosen per pair as max_i B_i^{i+1} over both vectors (the witness
-    index of the lower-bound argument), capped by policy.  Each domain's
-    capacities come from one CapacityProfile, built up to the largest K
-    of the pairs it is in."""
+    index of the lower-bound argument), capped by policy.  Each distinct
+    vector's weights are built once, and so is its realized profile when
+    ``include_inclusion`` is set; its capacities come from one
+    CapacityProfile, built up to the largest K of the pairs it is in."""
     if k_cap < 0:
         raise ValueError("capacity index must be >= 0")
     rows = []
-    pending = []  # (row index, v, w, metric, weights of v and of w, K)
+    pending = []  # (row index, v, w, metric, K)
+    built = {}  # vector -> its weights, or the EchcapError building them
+    k_needed = {}  # vector -> the largest K of its pairs
     for v, w in pairs:
         if len(v) != len(w):
             rows.append(
@@ -225,38 +232,36 @@ def certificate(
             )
             continue
         metric = float(q_metric(v.B, w.B, precision=precision))
-        try:
-            wu = build_weights(v)
-            ww = build_weights(w)
-        except EchcapError as exc:  # irrational weights etc.
-            rows.append(PairResult(v, w, metric, None, None, 0, True, str(exc)))
+        for x in (v, w):
+            if x not in built:
+                try:
+                    built[x] = build_weights(x)
+                except EchcapError as exc:  # irrational weights etc.
+                    built[x] = exc
+        failed = [built[x] for x in (v, w) if isinstance(built[x], EchcapError)]
+        if failed:
+            rows.append(PairResult(v, w, metric, None, None, 0, True, str(failed[0])))
             continue
-        k_target = max(
-            int(b ** (i + 2)) for vec in (v, w) for i, b in enumerate(vec.B)
-        )
-        pending.append((len(rows), v, w, metric, wu, ww, min(k_target, k_cap)))
+        k_target = min(k_cap, max(int(b ** (i + 2)) for x in (v, w) for i, b in enumerate(x.B)))
+        for x in (v, w):
+            k_needed[x] = max(k_needed.get(x, 0), k_target)
+        pending.append((len(rows), v, w, metric, k_target))
         rows.append(None)
 
-    k_needed = {}
-    for *_, wu, ww, k_target in pending:
-        for wm in (wu, ww):
-            k_needed[wm] = max(k_needed.get(wm, 0), k_target)
-    profiles = {
-        wm: CapacityProfile(wm, k_max, oracle_limit) for wm, k_max in k_needed.items()
-    }
-
-    for idx, v, w, metric, wu, ww, k_target in pending:
-        pu, pv = profiles[wu], profiles[ww]
-        lower_cap, witness = capacity_lower_bound(pu, pv, k_target, per_decade=per_decade)
-        lower = max(lower_cap, volume_lower_bound(pu, pv))
-        upper = lemma_upper_bound(v, w, precision=precision)
-        if include_inclusion:
+    profiles = {x: CapacityProfile(built[x], k, oracle_limit) for x, k in k_needed.items()}
+    regions = {}
+    if include_inclusion:
+        for x in k_needed:
             try:
-                d_i = inclusion_distance(build_domain(v), build_domain(w))
-                upper = min(upper, d_i.distance)
+                regions[x] = realize(built[x])
             except RealizationLimitError:
-                pass
-        rows[idx] = PairResult(v, w, metric, lower, upper, witness)
+                pass  # past the realization limit: no inclusion bound
+    for idx, v, w, metric, k_target in pending:
+        report = _report(
+            profiles[v], profiles[w], k_target, per_decade,
+            regions.get(v), regions.get(w), _lemma_bound(len(v), metric),
+        )
+        rows[idx] = PairResult(v, w, metric, report.lower, report.upper, report.capacity_witness_k)
     evaluated = [p for p in rows if not p.skipped]
     a, b = fit_quasi_isometry(
         [p.metric for p in evaluated], [p.lower for p in evaluated]

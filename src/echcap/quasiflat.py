@@ -234,34 +234,28 @@ def chart_embed(
     difference of two numbers of about that size, so this keeps 64 bits of
     it; at 1 bit both the root and the error round, and the error reads 0."""
     _check_precision(precision)
+    if snap not in ("exact", "approx"):
+        raise ValueError(f"unknown snap mode {snap!r}")
     folded = fold(x)
     y = map_linear(folded)
     floor_bits = math.ceil(max(abs(v) for v in y)).bit_length() + 64
     with mpmath.workprec(max(precision, floor_bits)):
-        exact_b = []
-        approx_b = []
+        b = []
         errors = []
         for yj in y:
             yv = _to_mpf(yj)
-            approx_b.append(mpmath.exp(yv))
             if snap == "exact":
-                root = mpmath.exp(yv / 2)
-                m = max(1, int(mpmath.nint(root)))
-                exact_b.append(Fraction(m * m))
+                m = max(1, int(mpmath.nint(mpmath.exp(yv / 2))))
+                b.append(Fraction(m * m))
                 errors.append(abs(2 * mpmath.log(m) - yv))
             else:
+                b.append(mpmath.exp(yv))
                 errors.append(mpmath.mpf(0))
-        if snap == "exact":
-            b = tuple(exact_b)
-        elif snap == "approx":
-            b = tuple(approx_b)
-        else:
-            raise ValueError(f"unknown snap mode {snap!r}")
         return ChartPoint(
             x=tuple(Fraction(v) for v in x),
             folded=folded,
             y=y,
-            B=b,
+            B=tuple(b),
             snap_errors=tuple(errors),
             snapped=(snap == "exact"),
         )

@@ -10,6 +10,7 @@ from echcap import capacities
 from echcap.capacities import (
     CapacityProfile,
     _floor_sum,
+    as_region,
     as_weights,
     ball_capacity,
     ellipsoid_capacity,
@@ -22,7 +23,7 @@ from echcap.capacities import (
 from echcap.domainfile import load_domain, save_domain
 from echcap.errors import ResourceLimitError
 from echcap.geometry import Ellipsoid, MomentProfile, area
-from echcap.quasiflat import ParameterVector
+from echcap.quasiflat import ParameterVector, build_domain
 from echcap.weights import WeightMultiset, ellipsoid_weights
 
 
@@ -410,6 +411,30 @@ def test_as_weights_of_other_objects(obj):
         as_weights(obj)
     with pytest.raises(TypeError, match="unsupported domain type"):
         CapacityProfile(obj, 3)
+
+
+@pytest.mark.parametrize(
+    "domain, region",
+    [
+        (Ellipsoid.ball(2), Ellipsoid.ball(2)),
+        (Ellipsoid(1, Fraction(5, 2)), Ellipsoid(1, Fraction(5, 2))),
+        (MomentProfile([(0, 3), (1, 1), (3, 0)]), MomentProfile([(0, 3), (1, 1), (3, 0)])),
+        (WeightMultiset([(Fraction(2, 3), 5), (1, 1)]), None),
+        (ParameterVector([4, 16]), build_domain(ParameterVector([4, 16]))),
+    ],
+)
+def test_as_region_of_domain_files(domain, region, tmp_path):
+    """A moment region as is, a quasi-flat vector by its realization, and
+    none for weights."""
+    path = tmp_path / "domain.json"
+    save_domain(domain, path)
+    assert as_region(load_domain(path)) == region
+
+
+@pytest.mark.parametrize("obj", [object(), Fraction(1), [(0, 1), (1, 0)], {"type": "ball"}])
+def test_as_region_of_other_objects(obj):
+    with pytest.raises(TypeError, match="unsupported domain type"):
+        as_region(obj)
 
 
 def random_region(rng):

@@ -368,8 +368,21 @@ def test_distance_of_quasiflat_files(tmp_path, capsys):
     args = ["distance", "--domain", str(tmp_path / "u.json"), "--domain2", str(tmp_path / "v.json")]
     assert main(args) == 0
     doc = json.loads(capsys.readouterr().out)
-    weights_only = distance_report(build_weights(u), build_weights(v), 500, parameters=(u, v))
-    assert (doc["lower"], doc["upper_lemma"]) == (weights_only.lower, weights_only.upper_lemma)
+    want = distance_report(u, v, 500)
+    assert doc == {
+        "lower_capacity": want.lower_capacity,
+        "capacity_witness_k": want.capacity_witness_k,
+        "lower_volume": want.lower_volume,
+        "upper_inclusion": {
+            "distance": want.upper_inclusion.distance,
+            "scale_into_v": format_rational(want.upper_inclusion.scale_into_v),
+            "scale_into_u": format_rational(want.upper_inclusion.scale_into_u),
+        },
+        "upper_lemma": want.upper_lemma,
+        "lower": want.lower,
+        "upper": want.upper,
+        "consistent": want.consistent,
+    }
     assert doc["upper"] == doc["upper_inclusion"]["distance"] < doc["upper_lemma"]
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from echcap import distance
 from echcap.capacities import CapacityProfile
 from echcap.distance import (
     capacity_lower_bound,
@@ -16,7 +17,7 @@ from echcap.distance import (
 )
 from echcap.errors import DimensionMismatchError
 from echcap.geometry import Ellipsoid
-from echcap.quasiflat import ParameterVector, build_weights
+from echcap.quasiflat import ParameterVector, build_domain, build_weights
 from echcap.weights import WeightMultiset, realize
 
 
@@ -125,12 +126,16 @@ def test_certificate_skips_mismatched_pairs():
     assert "dimension" in cert.pairs[0].reason
 
 
-def _small_grid_certificate():
-    vecs = [ParameterVector([b, b * b]) for b in (4, 16, 64)]
-    pairs = [(v, w) for v in vecs for w in vecs]
+SMALL_GRID = [ParameterVector([b, b * b]) for b in (4, 16, 64)]
+
+
+def _small_grid_certificate(include_inclusion=True):
+    pairs = [(v, w) for v in SMALL_GRID for w in SMALL_GRID]
     # k_cap above the sweep's reach (oracle_limit // 2) exercises both the
     # sweep and the exact engine above it
-    return pairs, certificate(pairs, k_cap=400, per_decade=16, oracle_limit=300)
+    return pairs, certificate(
+        pairs, k_cap=400, per_decade=16, oracle_limit=300, include_inclusion=include_inclusion
+    )
 
 
 def test_certificate_rows_match_separate_lower_bounds():
@@ -143,6 +148,34 @@ def test_certificate_rows_match_separate_lower_bounds():
         bound, witness = capacity_lower_bound(pu, pw, k_target, per_decade=16)
         assert p.lower == max(bound, volume_lower_bound(pu, pw))
         assert p.witness_k == witness
+
+
+def test_certificate_rows_match_separate_upper_bounds():
+    pairs, cert = _small_grid_certificate()
+    for (v, w), p in zip(pairs, cert.pairs):
+        inclusion = inclusion_distance(build_domain(v), build_domain(w))
+        assert p.upper == min(lemma_upper_bound(v, w), inclusion.distance)
+
+
+@pytest.mark.parametrize("include_inclusion", [True, False])
+def test_certificate_builds_each_vector_once(include_inclusion, monkeypatch):
+    """On a 3x3 grid: one build_weights per vector, one realize per vector
+    (none without inclusion bounds), one q_metric per pair."""
+    calls = {"build_weights": [], "realize": [], "q_metric": []}
+    for name, log in calls.items():
+        original = getattr(distance, name)
+
+        def counted(*args, _original=original, _log=log, **kwargs):
+            _log.append(args[0])
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(distance, name, counted)
+    pairs, cert = _small_grid_certificate(include_inclusion)
+    assert not any(p.skipped for p in cert.pairs)
+    assert calls["build_weights"] == SMALL_GRID
+    realized = [build_weights(v) for v in SMALL_GRID] if include_inclusion else []
+    assert calls["realize"] == realized
+    assert calls["q_metric"] == [v.B for v, _ in pairs]
 
 
 def test_certificate_rows_symmetric():

@@ -197,3 +197,29 @@ def test_precision_below_one_bit(precision):
     with pytest.raises(ValueError, match="precision must be >= 1"):
         q_metric([8], [1], precision=precision)
     assert chart_embed([0], snap="approx", precision=1).B
+
+
+def test_chart_embed_rejects_unknown_snap_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the chart ran before checking the snap mode")
+
+    monkeypatch.setattr("echcap.quasiflat.fold", no_work)
+    with pytest.raises(ValueError, match="unknown snap mode 'bogus'"):
+        chart_embed([0], snap="bogus")
+
+
+@pytest.mark.parametrize("snap", ["exact", "approx"])
+def test_chart_embed_exponentiates_once_per_coordinate(snap, monkeypatch):
+    """Exact mode takes e^{y/2} to snap and approx mode takes e^y; neither
+    computes the other's exponential."""
+    args = []
+    exp = mpmath.exp
+
+    def counted(x):
+        args.append(x)
+        return exp(x)
+
+    monkeypatch.setattr(mpmath, "exp", counted)
+    cp = chart_embed([Fraction(1, 2)], snap=snap)
+    scale = Fraction(1, 2) if snap == "exact" else 1
+    assert [float(a) for a in args] == [float(y * scale) for y in cp.y]
