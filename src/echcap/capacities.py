@@ -56,7 +56,6 @@ class ClassAssignment:
 @dataclass(frozen=True)
 class CandidateAssignment:
     classes: tuple
-    budget: int  # 2k this assignment answers
 
     @property
     def cost(self) -> int:
@@ -177,8 +176,7 @@ def _witness_result(classes: _ScaledClasses, best: int, upper: int, units, k: in
         tuple(
             ClassAssignment(wt, n, *divmod(u, n))
             for wt, n, u in zip(classes.weights, classes.copies, units)
-        ),
-        2 * k,
+        )
     )
     lo = Fraction(best, classes.denominator)
     assert witness.value == lo and witness.cost <= 2 * k

@@ -3,6 +3,10 @@
 Verbs: capacity, weights, realize, build-flat, chart, distance,
 certificate, lemma-cap, ched, notsame, weyl.  Exit code 0 iff every
 configured assertion passes.
+
+Each verb returns its exit code and its files, ``[(file name, text), ...]``,
+and ``main`` alone writes them, after the verb has succeeded: every file
+into ``--out``, or the first one to standard output.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import sys
 import time
@@ -22,7 +27,6 @@ from .domainfile import load_domain, to_document
 from .errors import EchcapError
 from .experiments import (
     ExperimentConfig,
-    emit_report,
     run_ched_warmup,
     run_lemma_cap_sweep,
     run_notsame,
@@ -36,22 +40,20 @@ def _parse_params(text: str) -> ParameterVector:
     return ParameterVector([parse_rational(p) for p in text.split(",")])
 
 
-def _emit(doc, out: str | None, name: str):
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if out:
-        (Path(out) / name).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_sink(out: str | None, name: str):
-    """The CSV file ``name`` in directory ``out``, or standard output."""
-    if out:
-        return open(Path(out) / name, "w", newline="")
-    return contextlib.nullcontext(sys.stdout)
+def _csv(columns, rows) -> str:
+    """A header row and the rows, in the ``csv`` module's default dialect."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return text.getvalue()
 
 
-def cmd_capacity(args) -> int:
+def cmd_capacity(args) -> tuple:
     if args.k is None and args.kmax is None:
         raise EchcapError("capacity needs --k or --kmax")
     if args.k is not None and args.kmax is not None:
@@ -62,39 +64,30 @@ def cmd_capacity(args) -> int:
         rows = []
         for k in range(args.kmax + 1):
             lo, hi = profile.interval(k)
-            gap = format(float(relative_gap(lo, hi)), ".12g")
-            rows.append((k, lo.numerator, lo.denominator, int(lo == hi), gap))
-        with _csv_sink(args.out, "capacity.csv") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("k", "c_k_num", "c_k_den", "exact", "gap"))
-            writer.writerows(rows)
-        return 0
+            exact = lo == hi
+            gap = "0" if exact else format(float(relative_gap(lo, hi)), ".12g")
+            rows.append((k, lo.numerator, lo.denominator, int(exact), gap))
+        return 0, [("capacity.csv", _csv(("k", "c_k_num", "c_k_den", "exact", "gap"), rows))]
     lo, hi = profile.interval(args.k)
-    _emit(
-        {
-            "k": args.k,
-            "value": format_rational(lo),
-            "upper": format_rational(hi),
-            "exact": lo == hi,
-        },
-        args.out,
-        "capacity.json",
-    )
-    return 0
+    doc = {
+        "k": args.k,
+        "value": format_rational(lo),
+        "upper": format_rational(hi),
+        "exact": lo == hi,
+    }
+    return 0, [("capacity.json", _json(doc))]
 
 
-def cmd_weights(args) -> int:
-    _emit(to_document(as_weights(load_domain(args.domain))), args.out, "weights.json")
-    return 0
+def cmd_weights(args) -> tuple:
+    return 0, [("weights.json", _json(to_document(as_weights(load_domain(args.domain)))))]
 
 
-def cmd_realize(args) -> int:
+def cmd_realize(args) -> tuple:
     profile = realize(as_weights(load_domain(args.domain)))
-    _emit(to_document(profile), args.out, "profile.json")
-    return 0
+    return 0, [("profile.json", _json(to_document(profile)))]
 
 
-def cmd_build_flat(args) -> int:
+def cmd_build_flat(args) -> tuple:
     v = _parse_params(args.params)
     record = validate_parameters(v, threshold=Fraction(args.threshold))
     doc = {
@@ -115,11 +108,10 @@ def cmd_build_flat(args) -> int:
         weights = build_weights(v)
         doc["weights"] = to_document(weights)
         doc["profile"] = to_document(realize(weights))
-    _emit(doc, args.out, "quasiflat.json")
-    return 0
+    return 0, [("quasiflat.json", _json(doc))]
 
 
-def cmd_chart(args) -> int:
+def cmd_chart(args) -> tuple:
     if args.points is None and args.x is None:
         raise EchcapError("chart needs --points or --x")
     if args.points:
@@ -130,27 +122,23 @@ def cmd_chart(args) -> int:
                     rows.append([Fraction(c) for c in row])
     else:
         rows = [[parse_rational(c) for c in args.x.split(",")]]
-    # every point before the first line, so bad input leaves no partial CSV
     points = [chart_embed(point, snap=args.mode, precision=args.precision) for point in rows]
-    with _csv_sink(args.out, "chart.csv") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("x", "y_stage", "b_stage", "snap_error"))
-        for cp in points:
-            writer.writerow(
-                (
-                    ";".join(str(c) for c in cp.x),
-                    ";".join(str(c) for c in cp.y),
-                    ";".join(
-                        format_rational(b) if isinstance(b, Fraction) else format(float(b), ".12g")
-                        for b in cp.B
-                    ),
-                    ";".join(format(float(e), ".6g") for e in cp.snap_errors),
-                )
-            )
-    return 0
+    cells = [
+        (
+            ";".join(str(c) for c in cp.x),
+            ";".join(str(c) for c in cp.y),
+            ";".join(
+                format_rational(b) if isinstance(b, Fraction) else format(float(b), ".12g")
+                for b in cp.B
+            ),
+            ";".join(format(float(e), ".6g") for e in cp.snap_errors),
+        )
+        for cp in points
+    ]
+    return 0, [("chart.csv", _csv(("x", "y_stage", "b_stage", "snap_error"), cells))]
 
 
-def cmd_distance(args) -> int:
+def cmd_distance(args) -> tuple:
     report = distance_report(load_domain(args.domain), load_domain(args.domain2), args.kmax)
     doc = {
         "lower_capacity": report.lower_capacity,
@@ -170,8 +158,7 @@ def cmd_distance(args) -> int:
         "upper": report.upper,
         "consistent": report.consistent,
     }
-    _emit(doc, args.out, "distance.json")
-    return 0 if report.consistent else 1
+    return (0 if report.consistent else 1), [("distance.json", _json(doc))]
 
 
 def _float_cell(x) -> str:
@@ -179,7 +166,7 @@ def _float_cell(x) -> str:
     return "" if x is None else format(x, ".12g")
 
 
-def cmd_certificate(args) -> int:
+def cmd_certificate(args) -> tuple:
     bases = [parse_rational(b) for b in args.grid.split(",")]
     vectors = [ParameterVector([b, b * b]) for b in bases]
     pairs = [(v, w) for v in vectors for w in vectors]
@@ -206,33 +193,28 @@ def cmd_certificate(args) -> int:
         "consistent": cert.consistent,
         "pairs": rows,
     }
-    _emit(doc, args.out, "certificate.json")
-    if args.out:
-        with open(Path(args.out) / "certificate.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("pair", "metric", "lower", "upper", "witness_k", "gap"))
-            for row in rows:
-                writer.writerow(
-                    (
-                        row["pair"],
-                        _float_cell(row["metric"]),
-                        _float_cell(row["lower"]),
-                        _float_cell(row["upper"]),
-                        row["witness_k"],
-                        _float_cell(row["gap"]),
-                    )
-                )
-    return 0 if cert.consistent else 1
+    cells = [
+        (
+            row["pair"],
+            _float_cell(row["metric"]),
+            _float_cell(row["lower"]),
+            _float_cell(row["upper"]),
+            row["witness_k"],
+            _float_cell(row["gap"]),
+        )
+        for row in rows
+    ]
+    # the CSV second, so standard output gets only the JSON
+    return (0 if cert.consistent else 1), [
+        ("certificate.json", _json(doc)),
+        ("certificate.csv", _csv(("pair", "metric", "lower", "upper", "witness_k", "gap"), cells)),
+    ]
 
 
-def cmd_weyl(args) -> int:
+def cmd_weyl(args) -> tuple:
     ratio = weyl_ratio(load_domain(args.domain), args.k)
-    _emit(
-        {"k": args.k, "ratio": format_rational(ratio), "ratio_float": float(ratio)},
-        args.out,
-        "weyl.json",
-    )
-    return 0
+    doc = {"k": args.k, "ratio": format_rational(ratio), "ratio_float": float(ratio)}
+    return 0, [("weyl.json", _json(doc))]
 
 
 def _experiment_config(args) -> ExperimentConfig:
@@ -249,18 +231,29 @@ def _experiment_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _run_experiment(runner, args) -> int:
-    cfg = _experiment_config(args)
-    report = runner(cfg)
+def _run_experiment(runner, args) -> tuple:
+    """Print the verdict lines, with or without --out, and return the
+    report and its CSV only under --out."""
+    report = runner(_experiment_config(args))
     for name, ok, detail in report.verdicts:
         status = "PASS" if ok else "FAIL"
         print(f"[{status}] {name}: {detail}")
+    files = []
     if args.out:
-        emit_report(report, args.out)
-    return 0 if report.passed else 1
+        doc = {
+            "command": report.command,
+            "inputs": report.inputs,
+            "verdicts": [{"name": n, "passed": ok, "detail": d} for n, ok, d in report.verdicts],
+            "passed": report.passed,
+        }
+        files = [
+            (f"{report.command}_report.json", _json(doc)),
+            (f"{report.command}.csv", _csv(report.columns, report.rows)),
+        ]
+    return (0 if report.passed else 1), files
 
 
-def cmd_notsame(args) -> int:
+def cmd_notsame(args) -> tuple:
     # a negative --kmax is refused as a capacity index; 0 would sample no k
     if args.kmax == 0:
         raise EchcapError("notsame needs --kmax >= 1")
@@ -268,13 +261,19 @@ def cmd_notsame(args) -> int:
 
 
 def _timed(args) -> int:
-    """Run the verb, writing ``<verb>_timing.txt`` (``-`` spelled ``_``)
-    next to its ``--out`` files, outside the byte-stable reports."""
+    """Run the verb and write its files: with --out, each into the
+    directory (``newline=""`` keeps the CSVs' CRLF line ends), then
+    ``<verb>_timing.txt`` (``-`` spelled ``_``) next to them, outside the
+    byte-stable reports; without it, the first file to standard output."""
     start = time.monotonic()
-    code = args.func(args)
+    code, files = args.func(args)
     if args.out:
+        for name, text in files:
+            (Path(args.out) / name).write_text(text, newline="")
         timing = Path(args.out) / f"{args.command.replace('-', '_')}_timing.txt"
         timing.write_text(f"wall_clock_seconds {time.monotonic() - start:.3f}\n")
+    elif files:
+        sys.stdout.write(files[0][1])
     return code
 
 

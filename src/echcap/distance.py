@@ -57,8 +57,8 @@ def capacity_lower_bound(
         if min(lo_u, lo_v, hi_u, hi_v) <= 0:
             continue  # k = 0 style degeneracies are excluded by k >= 1
         bound = max(
-            math.log(lo_u / hi_v) if hi_v else 0.0,
-            math.log(lo_v / hi_u) if hi_u else 0.0,
+            math.log(lo_u / hi_v),
+            math.log(lo_v / hi_u),
             0.0,
         )
         if bound > best:

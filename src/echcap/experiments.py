@@ -1,15 +1,13 @@
 """Experiment drivers behind the CLI: capacity-growth sweeps, the non-convex
-warm-up inequality, and the inclusion-vs-embedding contrast, with
-deterministic report/CSV emission."""
+warm-up inequality, and the inclusion-vs-embedding contrast.  Each returns
+a ``RunReport`` of verdicts and deterministic CSV rows, which the CLI
+writes."""
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 
 from .capacities import (
     DEFAULT_ORACLE_LIMIT,
@@ -21,7 +19,6 @@ from .capacities import (
     relative_gap,
 )
 from .distance import inclusion_distance, sample_indices
-from .errors import EchcapError
 from .geometry import Ellipsoid
 from .quasiflat import ParameterVector, build_weights
 from .weights import WeightMultiset, ellipsoid_weights, realize
@@ -66,34 +63,6 @@ class RunReport:
 
 def _float_str(x) -> str:
     return format(float(x), ".12g")
-
-
-def emit_report(report: RunReport, out_dir) -> list:
-    """Write the structured report and CSV; bitwise-stable for a fixed
-    config (the CLI writes wall-clock to a sidecar outside that
-    contract)."""
-    out = Path(out_dir)
-    if not out.is_dir():
-        raise EchcapError(f"output directory does not exist: {out}")
-    doc = {
-        "command": report.command,
-        "inputs": report.inputs,
-        "verdicts": [
-            {"name": n, "passed": ok, "detail": d} for n, ok, d in report.verdicts
-        ],
-        "passed": report.passed,
-    }
-    path = out / f"{report.command}_report.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    written = [path]
-    if report.columns:
-        path = out / f"{report.command}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(report.columns)
-            writer.writerows(report.rows)
-        written.append(path)
-    return written
 
 
 def run_lemma_cap_sweep(config: ExperimentConfig) -> RunReport:

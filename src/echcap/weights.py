@@ -203,9 +203,12 @@ def realize(
     with legs (a, m*a) via the single inverse shear
     (x, y) -> (x, y + m*(a - x)), and closes it off with the vertex (a, 0).
     The gluing runs in integers over the lcm D of the weights'
-    denominators, since the shears are integer-linear in the weights; each
-    step's vertices are checked as a profile, and one ``MomentProfile`` is
-    built from them at the end.
+    denominators, since the shears are integer-linear in the weights.  A
+    glue cannot fail the profile check: the shear is affine, so it keeps
+    every x and every turn, and the new joint at the old last vertex (b, 0),
+    b the previous weight, turns strictly, from the old last slope minus m
+    to the slope -m of the new edge to (a, 0), a > b.  So the vertices are
+    checked once, at the end, and one ``MomentProfile`` is built from them.
     """
     if len(w) > realization_limit:
         raise RealizationLimitError(
@@ -219,5 +222,5 @@ def realize(
     pts = [(0, 0)]
     for weight, mult in reversed(w.entries):
         a = weight.numerator * (den // weight.denominator)
-        pts = _checked([(x, y + mult * (a - x)) for x, y in pts] + [(a, 0)])
-    return MomentProfile._from_scaled(pts, den)
+        pts = [(x, y + mult * (a - x)) for x, y in pts] + [(a, 0)]
+    return MomentProfile._from_scaled(_checked(pts), den)

@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 import math
@@ -11,15 +12,19 @@ from pathlib import Path
 
 import pytest
 
-from echcap import capacities
-from echcap.capacities import CapacityProfile, multiset_capacity_fast, multiset_capacity_oracle
+from echcap import capacities, cli
+from echcap.capacities import (
+    CapacityProfile,
+    multiset_capacity_fast,
+    multiset_capacity_oracle,
+    relative_gap,
+)
 from echcap.cli import build_parser, main
 from echcap.distance import distance_report
 from echcap.domainfile import load_domain, save_domain
 from echcap.experiments import (
     ExperimentConfig,
     ched_weight_model,
-    emit_report,
     run_ched_warmup,
     run_lemma_cap_sweep,
     run_notsame,
@@ -137,6 +142,29 @@ def test_capacity_sweep_above_oracle_limit(weights_file, capsys):
     doc = json.loads(capsys.readouterr().out)
     c = multiset_capacity_oracle(w, k, oracle_limit=2 * k).best
     assert doc == {"k": k, "value": format_rational(c), "upper": format_rational(c), "exact": True}
+
+
+def test_capacity_sweep_interval_rows(weights_file, monkeypatch, capsys):
+    """With the sweep's reach at 2 and no window DP cells, the exact engine
+    leaves intervals above k = 2: those rows read exact 0 and their relative
+    gap, the others exact 1 and gap 0."""
+    monkeypatch.setattr(cli, "CapacityProfile", functools.partial(CapacityProfile, oracle_limit=4))
+    monkeypatch.setattr(capacities, "_CELL_LIMIT", 0)
+    assert main(["capacity", "--domain", weights_file, "--kmax", "6"]) == 0
+    rows = _csv_rows(capsys)[1:]
+    w = load_domain(weights_file)
+    profile = CapacityProfile(w, 6, oracle_limit=4)
+    inexact = 0
+    for k, num, den, exact, gap in rows:
+        lo, hi = profile.interval(int(k))
+        assert Fraction(int(num), int(den)) == lo <= multiset_capacity_oracle(w, int(k)).best <= hi
+        if lo == hi:
+            assert (exact, gap) == ("1", "0")
+        else:
+            inexact += 1
+            assert (exact, gap) == ("0", format(float(relative_gap(lo, hi)), ".12g"))
+            assert float(gap) > 0
+    assert inexact > 0 and all(r[3] == "1" for r in rows[:3])
 
 
 def test_capacity_sweep_ellipsoid_matches_enumeration(tmp_path, capsys):
@@ -578,16 +606,18 @@ def test_report_bytes_deterministic(tmp_path):
         assert all((out / f"{verb}_timing.txt").exists() for out in outs)
 
 
-def test_ched_report_files(tmp_path):
-    cfg = ExperimentConfig(k0_max=20)
-    out = tmp_path / "r"
-    out.mkdir()
-    report = run_ched_warmup(cfg)
-    written = emit_report(report, out)
-    assert report.passed
-    assert {p.name for p in written} == {"ched_report.json", "ched.csv"}
-    doc = json.loads((out / "ched_report.json").read_text())
-    assert doc["passed"] is True
+def test_ched_report_files(tmp_path, capsys):
+    """The report and the CSV hold the driver's verdicts and rows."""
+    assert main(["ched", "--kmax", "20", "--out", str(tmp_path)]) == 0
+    assert {p.name for p in tmp_path.iterdir()} == {"ched_report.json", "ched.csv", "ched_timing.txt"}
+    report = run_ched_warmup(ExperimentConfig(k0_max=20))
+    doc = json.loads((tmp_path / "ched_report.json").read_text())
+    assert doc["passed"] is True and doc["command"] == "ched"
+    assert [v["name"] for v in doc["verdicts"]] == [name for name, _, _ in report.verdicts]
+    with open(tmp_path / "ched.csv", newline="") as fh:
+        assert fh.read().count("\r\n") == 22
+    rows = list(csv.reader(io.StringIO((tmp_path / "ched.csv").read_text())))
+    assert rows == [list(report.columns)] + [[str(c) for c in row] for row in report.rows]
 
 
 def test_lemma_cap_exact_below_reach():

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+only the CLI and the domain-file module write files or standard output."""
 
 import ast
 from pathlib import Path
@@ -51,3 +52,44 @@ def test_unused_import_is_found():
     names = imported_names(tree)
     assert names == {"os": 1, "pi": 2, "tau": 2, "z": 3}
     assert set(names) - used_names(tree) == {"os", "pi", "z"}
+
+
+# the one writer of reports and the domain-file format
+WRITERS = {"cli.py", "domainfile.py"}
+OUTPUT_CALLS = {"open", "print", "write_text", "write_bytes"}
+
+
+def output_uses(tree) -> list:
+    """Lines that call open, print, write_text or write_bytes, or touch
+    sys.stdout."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in OUTPUT_CALLS:
+                lines.append(node.lineno)
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "stdout"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "sys"
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name not in WRITERS], ids=lambda p: p.name
+)
+def test_only_the_cli_writes_output(path):
+    lines = output_uses(ast.parse(path.read_text()))
+    assert not lines, f"{path.name} writes output on lines {lines}; return it to the CLI"
+
+
+def test_output_use_is_found():
+    tree = ast.parse(
+        "import sys\nprint(1)\nopen('a')\npath.write_text('')\nPath(p).write_bytes(b'')\n"
+        "sys.stdout.write('')\nf(sys.stdout)\nstdout = 1\nlog.info('')\n"
+    )
+    assert output_uses(tree) == [2, 3, 4, 5, 6, 7]

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from echcap import geometry, weights
 from echcap.domainfile import from_document, to_document
 from echcap.errors import RealizationLimitError
 from echcap.geometry import Ellipsoid, MomentProfile, area
@@ -119,6 +120,23 @@ def test_realize_roundtrip_random():
         back, _ = weight_expansion(p)
         assert back == w
         assert area(p) == w.total_area()
+
+
+def test_realize_checks_the_profile_once(monkeypatch):
+    """No glue can fail the profile check, so the glued vertices are
+    checked once, at the end, and keep every vertex."""
+    sizes = []
+
+    def counted(pts):
+        sizes.append(len(pts))
+        return geometry._kept_vertices(pts)
+
+    monkeypatch.setattr(weights, "_kept_vertices", counted)
+    w = WeightMultiset((Fraction(1, n), n) for n in range(1, 51))
+    p = realize(w)
+    assert sizes == [51] and len(p.vertices) == 51
+    monkeypatch.undo()
+    assert weight_expansion(p)[0] == w
 
 
 def test_realize_roundtrip_huge_multiplicity():
