@@ -11,6 +11,9 @@ over nonnegative integer levels d_{i,j}, one per copy.  Within a class of
 equal weights an exchange argument lets levels differ by at most one
 ("convexity-normal form"), so a class is described by a base level d and a
 promoted count r: cost n(d^2+d) + 2r(d+1), value (nd+r)a.
+
+The DPs run on the multiset's integer form ``WeightMultiset._scaled`` =
+(s, n, D), a_i = s_i / D, built with it; only answers become Fractions.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from ._kernels import _max_units, backtrack, half_cost, tier_dp, tier_plans
 from .errors import ResourceLimitError
 from .geometry import Ellipsoid, MomentProfile, area
 from .quasiflat import ParameterVector, build_domain, build_weights
-from .scalars import Scalar, fractions_over
+from .scalars import Scalar, fractions_over, integer_form
 from .weights import WeightMultiset, ellipsoid_weights, weight_expansion
 
 # The largest DP budget 2k of the oracle and the sweep, so CapacityProfile
@@ -138,9 +141,7 @@ def ellipsoid_capacity(e: Ellipsoid, k: int, k_limit: Optional[int] = None) -> S
         )
     if k == 0:
         return Fraction(0)
-    lcm = math.lcm(e.a.denominator, e.b.denominator)
-    av = int(e.a * lcm)
-    bv = int(e.b * lcm)
+    (av, bv), den = integer_form((e.a, e.b))
 
     def count(t: int) -> int:
         q = t // bv
@@ -153,49 +154,33 @@ def ellipsoid_capacity(e: Ellipsoid, k: int, k_limit: Optional[int] = None) -> S
             hi = mid
         else:
             lo = mid + 1
-    return Fraction(lo, lcm)
+    return Fraction(lo, den)
 
 
-class _ScaledClasses:
-    """Weight classes with values scaled to a common integer denominator."""
-
-    def __init__(self, w: WeightMultiset):
-        self.weights = [wt for wt, _ in w.entries]
-        self.copies = [m for _, m in w.entries]
-        self.denominator = math.lcm(*(wt.denominator for wt in self.weights)) if self.weights else 1
-        self.scaled = [int(wt * self.denominator) for wt in self.weights]
-
-    def __len__(self):
-        return len(self.weights)
-
-
-def _witness_result(classes: _ScaledClasses, best: int, upper: int, units, k: int) -> CapacityResult:
-    """[best, upper] / denominator on c_k, with ``units`` per class in
-    normal form as the witness of ``best``."""
+def _witness_result(w: WeightMultiset, best: int, upper: int, units, k: int) -> CapacityResult:
+    """[best, upper] / D on c_k, with ``units`` per class in normal form as
+    the witness of ``best``."""
     witness = CandidateAssignment(
-        tuple(
-            ClassAssignment(wt, n, *divmod(u, n))
-            for wt, n, u in zip(classes.weights, classes.copies, units)
-        )
+        tuple(ClassAssignment(wt, n, *divmod(u, n)) for (wt, n), u in zip(w.entries, units))
     )
-    lo = Fraction(best, classes.denominator)
+    den = w._scaled[2]
+    lo = Fraction(best, den)
     assert witness.value == lo and witness.cost <= 2 * k
-    return CapacityResult(lo, Fraction(upper, classes.denominator), best == upper, witness)
+    return CapacityResult(lo, Fraction(upper, den), best == upper, witness)
 
 
 def _full_dp(w: WeightMultiset, k: int, oracle_limit: int, keep: bool) -> tuple:
     """The budget DP over every unit of every class, run in half-units over
-    0..k: (classes, windows, dp, history), the history kept iff ``keep``."""
+    0..k: (windows, dp, history), the history kept iff ``keep``."""
     if k < 0:
         raise ValueError("capacity index must be >= 0")
     if 2 * k > oracle_limit:
         raise ResourceLimitError(
             f"DP budget {2 * k} exceeds the oracle limit {oracle_limit}"
         )
-    classes = _ScaledClasses(w)
-    windows = [(0, k)] * len(classes)
-    plans = tier_plans(classes.scaled, classes.copies, k, windows)
-    return (classes, windows, *tier_dp(plans, k, keep=keep))
+    scaled, copies, _ = w._scaled
+    windows = [(0, k)] * len(scaled)
+    return (windows, *tier_dp(tier_plans(scaled, copies, k, windows), k, keep=keep))
 
 
 def multiset_capacity_oracle(
@@ -204,9 +189,10 @@ def multiset_capacity_oracle(
     """Exact optimum of the weight formulation by dynamic programming up to
     the budget 2k (run in half-units, over 0..k), with the optimizing
     assignment as witness."""
-    classes, windows, dp, history = _full_dp(w, k, oracle_limit, keep=True)
-    units = backtrack(classes.scaled, classes.copies, history, windows, k)
-    return _witness_result(classes, int(dp[k]), int(dp[k]), units, k)
+    windows, dp, history = _full_dp(w, k, oracle_limit, keep=True)
+    scaled, copies, _ = w._scaled
+    units = backtrack(scaled, copies, history, windows, k)
+    return _witness_result(w, int(dp[k]), int(dp[k]), units, k)
 
 
 def multiset_capacity_table(
@@ -215,8 +201,8 @@ def multiset_capacity_table(
     """One DP sweep up to the budget 2*k_max, run in half-units:
     (dp, denominator) with c_k = dp[k] / denominator for every k in
     0..k_max."""
-    classes, _, dp, _ = _full_dp(w, k_max, oracle_limit, keep=False)
-    return dp, classes.denominator
+    _, dp, _ = _full_dp(w, k_max, oracle_limit, keep=False)
+    return dp, w._scaled[2]
 
 
 def multiset_capacity_sweep(
@@ -366,10 +352,9 @@ def multiset_capacity_fast(w: WeightMultiset, k: int) -> CapacityResult:
     """
     if k < 0:
         raise ValueError("capacity index must be >= 0")
-    classes = _ScaledClasses(w)
-    if not classes:
-        return _witness_result(classes, 0, 0, [], k)
-    scaled, copies = classes.scaled, classes.copies
+    scaled, copies, _ = w._scaled
+    if not scaled:
+        return _witness_result(w, 0, 0, [], k)
     rho = _breakpoint(scaled, copies, k)
     P, Q = rho.numerator, rho.denominator
     # The LP takes the tiers of ratio above rho* whole and spends the rest
@@ -381,7 +366,7 @@ def multiset_capacity_fast(w: WeightMultiset, k: int) -> CapacityResult:
     best = sum(s * u for s, u in zip(scaled, units))
     slack = lp - Q * (best + 1)  # Q (G - 1)
     if slack < 0:
-        return _witness_result(classes, best, best, units, k)
+        return _witness_result(w, best, best, units, k)
 
     reach = 2 * max((slack + s * Q) // P for s in scaled) + 2  # 2 Delta + 2
     windows = []
@@ -396,19 +381,19 @@ def multiset_capacity_fast(w: WeightMultiset, k: int) -> CapacityResult:
     span = sum(half_cost(n, hi) - half_cost(n, lo) for n, (lo, hi) in zip(copies, windows))
     budget = min(k - base, span)
     if budget < 0:  # no window assignment fits: the incumbent is optimal
-        return _witness_result(classes, best, best, units, k)
+        return _witness_result(w, best, best, units, k)
     plans = tier_plans(scaled, copies, budget, windows) if budget < _CELL_LIMIT else None
     if plans is None or max(
         sum(budget + 1 - start for items in plans for _, _, start in items),
         (budget + 1) * sum(1 for items in plans if items),
     ) > _CELL_LIMIT:
-        return _witness_result(classes, best, lp // Q, units, k)
+        return _witness_result(w, best, lp // Q, units, k)
     dp, history = tier_dp(plans, budget, keep=True)
     value = sum(s * lo for s, (lo, _) in zip(scaled, windows)) + int(dp[budget])
     if value > best:
         best = value
         units = backtrack(scaled, copies, history, windows, budget)
-    return _witness_result(classes, best, best, units, k)
+    return _witness_result(w, best, best, units, k)
 
 
 # ---------------------------------------------------------------------------
@@ -449,11 +434,11 @@ class CapacityProfile:
     """(lo, hi) on c_k of one domain, for the k of one computation; the
     only place that decides which engine answers c_k.
 
-    Balls use their closed form and ellipsoids their lattice count, at any
-    k.  Every other domain goes through its weights (``as_weights``), which
-    take every c_k up to ``reach`` = min(k_max, oracle_limit // 2) exactly
-    from one DP sweep, kept as the integer DP array and its denominator,
-    and c_k above it from ``multiset_capacity_fast``: exact, or an interval
+    Ellipsoids, balls included, use their lattice count, at any k.  Every
+    other domain goes through its weights (``as_weights``), which take
+    every c_k up to ``reach`` = min(k_max, oracle_limit // 2) exactly from
+    one DP sweep, kept as the integer DP array and its denominator, and
+    c_k above it from ``multiset_capacity_fast``: exact, or an interval
     when its window DP is over the cell limit.  The sweep runs on the first
     query at or below ``reach``, so a profile asked only above it runs
     none.  Intervals are memoized by k for the life of the profile.
@@ -483,10 +468,7 @@ class CapacityProfile:
                 raise ValueError("capacity index must be >= 0")
             domain = self.domain
             if isinstance(domain, Ellipsoid):
-                if domain.a == domain.b:
-                    c = ball_capacity(domain.a, k)
-                else:
-                    c = ellipsoid_capacity(domain, k)
+                c = ellipsoid_capacity(domain, k)
                 self._memo[k] = (c, c)
             elif k <= self.reach:
                 if self._table is None:
@@ -505,6 +487,8 @@ def weyl_ratio(domain, k: int) -> Scalar:
     if k <= 0:
         raise ValueError("Weyl ratio is undefined at k = 0")
     profile = CapacityProfile(domain, k)
+    if profile.volume == 0:
+        raise ValueError("Weyl ratio is undefined at volume 0")
     lo, hi = profile.interval(k)
     if lo != hi:
         raise ResourceLimitError(f"c_{k} is only known as an interval")

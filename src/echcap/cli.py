@@ -45,11 +45,14 @@ def _json(doc) -> str:
 
 
 def _csv(columns, rows) -> str:
-    """A header row and the rows, in the ``csv`` module's default dialect."""
+    """A header row and the rows, in the ``csv`` module's default dialect:
+    a float cell to 12 significant digits, None as an empty cell."""
     text = io.StringIO()
     writer = csv.writer(text)
     writer.writerow(columns)
-    writer.writerows(rows)
+    writer.writerows(
+        [format(cell, ".12g") if isinstance(cell, float) else cell for cell in row] for row in rows
+    )
     return text.getvalue()
 
 
@@ -65,7 +68,7 @@ def cmd_capacity(args) -> tuple:
         for k in range(args.kmax + 1):
             lo, hi = profile.interval(k)
             exact = lo == hi
-            gap = "0" if exact else format(float(relative_gap(lo, hi)), ".12g")
+            gap = 0.0 if exact else float(relative_gap(lo, hi))
             rows.append((k, lo.numerator, lo.denominator, int(exact), gap))
         return 0, [("capacity.csv", _csv(("k", "c_k_num", "c_k_den", "exact", "gap"), rows))]
     lo, hi = profile.interval(args.k)
@@ -119,7 +122,10 @@ def cmd_chart(args) -> tuple:
         with open(args.points, newline="") as fh:
             for row in csv.reader(fh):
                 if row and not row[0].lstrip().startswith("#"):
-                    rows.append([Fraction(c) for c in row])
+                    try:
+                        rows.append([Fraction(c) for c in row])
+                    except ZeroDivisionError:
+                        raise ValueError(f"zero denominator in point {row}") from None
     else:
         rows = [[parse_rational(c) for c in args.x.split(",")]]
     points = [chart_embed(point, snap=args.mode, precision=args.precision) for point in rows]
@@ -161,11 +167,6 @@ def cmd_distance(args) -> tuple:
     return (0 if report.consistent else 1), [("distance.json", _json(doc))]
 
 
-def _float_cell(x) -> str:
-    """A CSV cell for a float, empty where a skipped pair has no value."""
-    return "" if x is None else format(x, ".12g")
-
-
 def cmd_certificate(args) -> tuple:
     bases = [parse_rational(b) for b in args.grid.split(",")]
     vectors = [ParameterVector([b, b * b]) for b in bases]
@@ -194,14 +195,7 @@ def cmd_certificate(args) -> tuple:
         "pairs": rows,
     }
     cells = [
-        (
-            row["pair"],
-            _float_cell(row["metric"]),
-            _float_cell(row["lower"]),
-            _float_cell(row["upper"]),
-            row["witness_k"],
-            _float_cell(row["gap"]),
-        )
+        (row["pair"], row["metric"], row["lower"], row["upper"], row["witness_k"], row["gap"])
         for row in rows
     ]
     # the CSV second, so standard output gets only the JSON

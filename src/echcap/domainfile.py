@@ -37,18 +37,35 @@ def to_document(obj) -> dict:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+def _list(doc: dict, key: str, width: int = 0) -> list:
+    """The list under ``key``, of ``width``-item lists if ``width`` is set."""
+    value = doc[key]
+    if not isinstance(value, list) or width and any(
+        not isinstance(item, list) or len(item) != width for item in value
+    ):
+        raise ValueError(f"{key!r} must be a list{f' of {width}-item lists' if width else ''}")
+    return value
+
+
 def from_document(doc: dict):
+    """The domain of a document; ValueError, or KeyError for a missing
+    field, on a document that is not an object of that shape."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a domain document is a JSON object, not {type(doc).__name__}")
     kind = doc.get("type")
     if kind == "ball":
         return Ellipsoid.ball(parse_rational(doc["a"]))
     if kind == "ellipsoid":
         return Ellipsoid(parse_rational(doc["a"]), parse_rational(doc["b"]))
     if kind == "profile":
-        return MomentProfile([(parse_rational(x), parse_rational(y)) for x, y in doc["vertices"]])
+        vertices = _list(doc, "vertices", 2)
+        return MomentProfile([(parse_rational(x), parse_rational(y)) for x, y in vertices])
     if kind == "weights":
-        return WeightMultiset((parse_rational(w), int(m)) for w, m in doc["entries"])
+        entries = _list(doc, "entries", 2)
+        # through str, a float or a list multiplicity is refused, not cut
+        return WeightMultiset((parse_rational(w), int(str(m))) for w, m in entries)
     if kind == "quasiflat":
-        return ParameterVector([parse_rational(b) for b in doc["B"]])
+        return ParameterVector([parse_rational(b) for b in _list(doc, "B")])
     raise ValueError(f"unknown domain type {kind!r}")
 
 

@@ -61,10 +61,6 @@ class RunReport:
         self.verdicts.append((name, bool(ok), detail))
 
 
-def _float_str(x) -> str:
-    return format(float(x), ".12g")
-
-
 def run_lemma_cap_sweep(config: ExperimentConfig) -> RunReport:
     """Sweep c_k over the window where the M-th parameter carries the
     volume and check c_k / sqrt(k * B_M) stays in the configured window."""
@@ -104,9 +100,9 @@ def run_lemma_cap_sweep(config: ExperimentConfig) -> RunReport:
                 k,
                 lo.numerator,
                 lo.denominator,
-                _float_str(ratio),
+                ratio,
                 int(lo == hi),
-                _float_str(relative_gap(lo, hi)),
+                float(relative_gap(lo, hi)),
             )
         )
     report.verdict(
@@ -174,7 +170,7 @@ def run_ched_warmup(config: ExperimentConfig) -> RunReport:
                 c_x.denominator,
                 c_ball.numerator,
                 c_ball.denominator,
-                _float_str(weyl_side),
+                weyl_side,
             )
         )
     report.verdict(
@@ -235,7 +231,7 @@ def run_notsame(config: ExperimentConfig) -> RunReport:
                 c_x2.denominator,
                 c_ball.numerator,
                 c_ball.denominator,
-                _float_str(ratio),
+                ratio,
             )
         )
     report.verdict(

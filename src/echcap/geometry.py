@@ -7,9 +7,10 @@ E(a, b) are the triangles with legs a and b.
 
 Everything here is exact; no floats.  Coordinates come in and go out as
 ``Fraction`` values, but the work runs in Python integers: a profile
-scales its vertices once, by the lcm D of their denominators, and keeps
-the integer vertices next to the Fractions.  The profile checks, the
-radial walk and the inclusion scale compare integer cross products, and
+scales its vertices once, by the lcm D of their denominators
+(``scalars.integer_form``), and keeps the integer vertices next to the
+Fractions.  The profile checks, the radial walk and the inclusion scale
+compare integer cross products, and
 only the scalar they return is built as a Fraction, once, at the end.
 """
 
@@ -17,11 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import DegenerateRegionError
-from .scalars import Scalar
+from .scalars import Scalar, integer_form
 
 
 @dataclass(frozen=True)
@@ -90,17 +90,6 @@ def _kept_vertices(pts: Sequence) -> list:
     return keep
 
 
-def _scaled_to_integers(pts: Sequence) -> tuple:
-    """(integer points, D): the Fraction points multiplied by D, the lcm
-    of their denominators."""
-    den = lcm(*(c.denominator for p in pts for c in p))
-    ints = [
-        (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
-        for x, y in pts
-    ]
-    return ints, den
-
-
 class MomentProfile:
     """Piecewise-linear convex boundary profile in the moment plane.
 
@@ -122,7 +111,8 @@ class MomentProfile:
             )
             for x, y in vertices
         ]
-        ints, den = _scaled_to_integers(pts)
+        coords, den = integer_form([c for p in pts for c in p])
+        ints = list(zip(coords[::2], coords[1::2]))
         keep = _kept_vertices(ints)
         object.__setattr__(self, "vertices", tuple(pts[i] for i in keep))
         object.__setattr__(self, "_scaled", (tuple(ints[i] for i in keep), den))
@@ -240,7 +230,7 @@ def radial(region: Region, direction: Sequence) -> Scalar:
     if ux < 0 or uy < 0 or (ux == 0 and uy == 0):
         raise ValueError("direction must be a nonzero first-quadrant vector")
     pts, den = as_profile(region)._scaled
-    (u,), du = _scaled_to_integers([(ux, uy)])
+    u, du = integer_form((ux, uy))
     # scaling the profile by den and the direction by du scales the radial
     # by den / du
     n, d = _radials(pts, [u])[0]

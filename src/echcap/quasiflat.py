@@ -19,7 +19,7 @@ import mpmath
 
 from .errors import DimensionMismatchError, RepresentabilityError
 from .geometry import MomentProfile
-from .scalars import Scalar, half_integer_power, is_integral
+from .scalars import Scalar, half_integer_power, integer_form, is_integral
 from .weights import WeightMultiset, realize
 
 DEFAULT_THRESHOLD = Fraction(64)
@@ -142,8 +142,7 @@ def map_linear(x: Sequence) -> tuple:
         raise DimensionMismatchError("input dimension must be a positive even number")
     if any(v <= 0 for v in xs):
         raise ValueError("coordinates must be positive")
-    den = math.lcm(*(v.denominator for v in xs))
-    ints = [v.numerator * (den // v.denominator) for v in xs]
+    ints, den = integer_form(xs)
     return tuple(
         Fraction(
             sum(_linear_coefficient(row, col, dim) * ints[col - 1] for col in range(1, dim + 1)),

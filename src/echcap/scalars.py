@@ -2,13 +2,14 @@
 
 All coordinates, weights and capacities in the exact engines are
 ``fractions.Fraction`` values; this module only adds the serialization, the
-handful of root/power helpers the rest of the package needs, and one batch
-constructor, ``fractions_over``, for the DP sweep's c_k list.  That
-constructor reduces every value against the common denominator in numpy and
-then fills the two slots of each ``Fraction`` directly, as CPython's own
-``Fraction._from_coprime_ints`` (3.12+) does: ``Fraction(v, den)`` spends
-most of its time on a per-call gcd and argument checks that a reduced,
-positive pair does not need.
+handful of root/power helpers the rest of the package needs, and the way
+to integers over one common denominator and back.  ``integer_form`` is the
+package's one lcm of denominators.  ``fractions_over`` builds the DP
+sweep's c_k list: it reduces every value against the common denominator
+in numpy and then fills the two slots of each ``Fraction`` directly, as
+CPython's own ``Fraction._from_coprime_ints`` (3.12+) does:
+``Fraction(v, den)`` spends most of its time on a per-call gcd and
+argument checks that a reduced, positive pair does not need.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from itertools import repeat
-from math import isqrt
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -24,12 +25,24 @@ Scalar = Fraction
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" (or a plain integer string "p") into a Fraction."""
+    """Parse "p/q" (or a plain integer string "p") into a Fraction; anything
+    else, q = 0 included, raises ValueError."""
+    if not isinstance(text, str):
+        raise ValueError(f"expected a rational string \"p/q\", got {text!r}")
     text = text.strip()
     if "/" in text:
-        num, den = text.split("/")
-        return Fraction(int(num), int(den))
+        num, den = (int(part) for part in text.split("/"))
+        if den == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(num, den)
     return Fraction(int(text))
+
+
+def integer_form(values) -> tuple:
+    """(ints, D): the sequence of Fractions ``values`` times D, the lcm of
+    their denominators, as a tuple of integers; D = 1 when it is empty."""
+    den = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
 def format_rational(value: Fraction) -> str:

@@ -7,28 +7,31 @@ recursed.  A run of equal weights is one step: when c is an extent of
 the region, taking the triangle shears the whole region, and the step
 takes c as many times as those shears leave it the head weight.
 ``realize`` inverts the recursion, gluing each run of triangles back in
-one shear, so that ``weight_expansion(realize(w))[0] == w`` exactly.  Both run in Python
-integers over one common denominator and return Fractions.
+one shear, so that ``weight_expansion(realize(w))[0] == w`` exactly.  Both
+run in Python integers over one common denominator, which a profile keeps
+for its vertices and a ``WeightMultiset`` for its weights, and return
+Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import NonterminationError, RealizationLimitError
 from .geometry import Ellipsoid, MomentProfile, _kept_vertices
-from .scalars import Scalar
+from .scalars import Scalar, integer_form
 
 DEFAULT_STEP_LIMIT = 10**6
 DEFAULT_REALIZATION_LIMIT = 10**4
 
 
 class WeightMultiset:
-    """Run-length-encoded multiset of ball weights, strictly descending."""
+    """Run-length-encoded multiset of ball weights, strictly descending,
+    with its integer form ``_scaled`` = (weights times D, copies, D), D the
+    lcm of the weights' denominators, for the DPs and ``realize``."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_scaled")
 
     def __init__(self, entries: Iterable[Sequence]):
         merged: dict[Fraction, int] = {}
@@ -40,11 +43,10 @@ class WeightMultiset:
             if mult < 1:
                 raise ValueError("multiplicities must be >= 1")
             merged[w] = merged.get(w, 0) + mult
-        object.__setattr__(
-            self,
-            "entries",
-            tuple(sorted(merged.items(), key=lambda e: e[0], reverse=True)),
-        )
+        entries = tuple(sorted(merged.items(), key=lambda e: e[0], reverse=True))
+        scaled, den = integer_form([w for w, _ in entries])
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_scaled", (scaled, tuple(m for _, m in entries), den))
 
     def __setattr__(self, name, value):
         raise AttributeError("WeightMultiset is immutable")
@@ -202,8 +204,8 @@ def realize(
     glues the current realization into the upper corner of the triangle
     with legs (a, m*a) via the single inverse shear
     (x, y) -> (x, y + m*(a - x)), and closes it off with the vertex (a, 0).
-    The gluing runs in integers over the lcm D of the weights'
-    denominators, since the shears are integer-linear in the weights.  A
+    The gluing runs on the multiset's integer weights over their common
+    denominator D, since the shears are integer-linear in the weights.  A
     glue cannot fail the profile check: the shear is affine, so it keeps
     every x and every turn, and the new joint at the old last vertex (b, 0),
     b the previous weight, turns strictly, from the old last slope minus m
@@ -217,10 +219,9 @@ def realize(
         )
     if not w.entries:
         raise ValueError("cannot realize an empty weight multiset")
-    den = lcm(*(weight.denominator for weight, _ in w.entries))
+    scaled, copies, den = w._scaled
     # Gluing onto the single point (0, 0) gives the first run's triangle.
     pts = [(0, 0)]
-    for weight, mult in reversed(w.entries):
-        a = weight.numerator * (den // weight.denominator)
+    for a, mult in zip(reversed(scaled), reversed(copies)):
         pts = [(x, y + mult * (a - x)) for x, y in pts] + [(a, 0)]
     return MomentProfile._from_scaled(_checked(pts), den)

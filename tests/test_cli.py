@@ -593,6 +593,34 @@ def test_bad_domain_file(tmp_path, capsys):
     assert main(["capacity", "--domain", str(bad), "--k", "1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "args, text",
+    [
+        (["chart", "--x", "1/0"], None),
+        (["chart", "--points", "{file}"], "0,1/0\n"),
+        (["build-flat", "--params", "1/0"], None),
+        (["ched", "--epsilon", "1/0"], None),
+        (["capacity", "--domain", "{file}", "--k", "1"], '{"type": "ball", "a": "1/0"}'),
+        (["capacity", "--domain", "{file}", "--k", "1"], "[]"),
+        (["capacity", "--domain", "{file}", "--k", "1"], '{"type": "profile", "vertices": 5}'),
+        (["weyl", "--domain", "{file}", "--k", "5"], '{"type": "weights", "entries": []}'),
+    ],
+    ids=[
+        "chart-x", "chart-points", "build-flat", "ched-epsilon",
+        "ball-zero-denominator", "not-an-object", "vertices-not-a-list", "weyl-zero-volume",
+    ],
+)
+def test_bad_input_is_a_one_line_error(args, text, tmp_path, capsys):
+    """Exit 2, one ``error:`` line and no output, not a traceback."""
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+    assert main([a.format(file=path) for a in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_report_bytes_deterministic(tmp_path):
     runs = {"notsame": ["--epsilon", "1/4", "--kmax", "100"], "ched": ["--kmax", "40"]}
     for verb, args in runs.items():
@@ -617,7 +645,8 @@ def test_ched_report_files(tmp_path, capsys):
     with open(tmp_path / "ched.csv", newline="") as fh:
         assert fh.read().count("\r\n") == 22
     rows = list(csv.reader(io.StringIO((tmp_path / "ched.csv").read_text())))
-    assert rows == [list(report.columns)] + [[str(c) for c in row] for row in report.rows]
+    cells = [[format(c, ".12g") if isinstance(c, float) else str(c) for c in row] for row in report.rows]
+    assert rows == [list(report.columns)] + cells
 
 
 def test_lemma_cap_exact_below_reach():
@@ -629,7 +658,7 @@ def test_lemma_cap_exact_below_reach():
     reach = capacities.DEFAULT_ORACLE_LIMIT // 2
     below = [row for row in report.rows if row[0] <= reach]
     assert len(below) == 108 and len(report.rows) > len(below)
-    assert all((exact, gap) == (1, "0") for _, _, _, _, exact, gap in report.rows)
+    assert all((exact, gap) == (1, 0.0) for _, _, _, _, exact, gap in report.rows)
     weights = build_weights(ParameterVector(cfg.params))
     for k, num, den, _, _, _ in below:
         assert multiset_capacity_fast(weights, k).value == Fraction(num, den)

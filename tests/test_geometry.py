@@ -15,6 +15,7 @@ from echcap.geometry import (
     scale,
 )
 from echcap.weights import WeightMultiset, realize
+from test_fraction_reference import ref_radial
 
 positive = st.fractions(min_value=Fraction(1, 20), max_value=20)
 
@@ -195,28 +196,13 @@ def test_as_profile():
     assert as_profile(p) is p
 
 
-def reference_radial(profile, u):
-    """radial by searching every segment for the one the ray crosses."""
-    ux, uy = Fraction(u[0]), Fraction(u[1])
-    if uy == 0:
-        return profile.x_extent / ux
-    if ux == 0:
-        return profile.y_extent / uy
-    for (x1, y1), (x2, y2) in zip(profile.vertices, profile.vertices[1:]):
-        denom = (y2 - y1) * ux - (x2 - x1) * uy
-        if denom == 0:
-            continue
-        t = ((y2 - y1) * x1 - (x2 - x1) * y1) / denom
-        if t > 0 and x1 <= t * ux <= x2:
-            return t
-    raise AssertionError("ray misses the profile")
-
-
 def reference_inclusion_scale(inner, outer):
     """The largest radial ratio over the vertex directions of both
     profiles, each radial found by a search over every segment."""
     p, q = as_profile(inner), as_profile(outer)
-    return max(reference_radial(p, v) / reference_radial(q, v) for v in p.vertices + q.vertices)
+    return max(
+        ref_radial(p.vertices, v) / ref_radial(q.vertices, v) for v in p.vertices + q.vertices
+    )
 
 
 def test_inclusion_scale_matches_quadratic_search():
@@ -239,4 +225,4 @@ def test_inclusion_scale_matches_quadratic_search():
             assert got == reference_inclusion_scale(inner, outer)
             assert expected is None or got == expected
         for v in as_profile(q).vertices:
-            assert radial(p, v) == reference_radial(as_profile(p), v)
+            assert radial(p, v) == ref_radial(as_profile(p).vertices, v)

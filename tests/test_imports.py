@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-only the CLI and the domain-file module write files or standard output."""
+"""Every name a module of the package imports is used in that module,
+only the CLI and the domain-file module write files or standard output,
+and only ``scalars`` takes the lcm of denominators."""
 
 import ast
 from pathlib import Path
@@ -59,15 +60,19 @@ WRITERS = {"cli.py", "domainfile.py"}
 OUTPUT_CALLS = {"open", "print", "write_text", "write_bytes"}
 
 
+def called_name(node):
+    """The name a call node calls, ``f`` for both ``f(...)`` and ``m.f(...)``."""
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def output_uses(tree) -> list:
     """Lines that call open, print, write_text or write_bytes, or touch
     sys.stdout."""
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in OUTPUT_CALLS:
+            if called_name(node) in OUTPUT_CALLS:
                 lines.append(node.lineno)
         elif (
             isinstance(node, ast.Attribute)
@@ -93,3 +98,28 @@ def test_output_use_is_found():
         "sys.stdout.write('')\nf(sys.stdout)\nstdout = 1\nlog.info('')\n"
     )
     assert output_uses(tree) == [2, 3, 4, 5, 6, 7]
+
+
+def lcm_calls(tree) -> list:
+    """Lines that call ``lcm`` or ``<module>.lcm``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and called_name(node) == "lcm"
+    )
+
+
+# the integer form of exact rationals is one decision, scalars.integer_form
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "scalars.py"], ids=lambda p: p.name
+)
+def test_only_scalars_takes_an_lcm(path):
+    lines = lcm_calls(ast.parse(path.read_text()))
+    assert not lines, f"{path.name} calls lcm on lines {lines}; use scalars.integer_form"
+
+
+def test_lcm_call_is_found():
+    tree = ast.parse(
+        "import math\nfrom math import lcm\nmath.lcm(2, 3)\nlcm(*xs)\nf(lcm)\nx.lcm_of(1)\n"
+    )
+    assert lcm_calls(tree) == [3, 4]

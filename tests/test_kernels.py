@@ -10,7 +10,7 @@ import pytest
 
 from echcap import capacities
 from echcap._kernels import backtrack, half_cost, tier_dp, tier_plans
-from echcap.capacities import _ScaledClasses, multiset_capacity_fast, multiset_capacity_oracle
+from echcap.capacities import multiset_capacity_fast, multiset_capacity_oracle
 from echcap.weights import WeightMultiset
 
 
@@ -48,11 +48,11 @@ def random_classes(rng, max_copies=3, max_total=5):
         total += n
         if rng.random() < 0.4:
             break
-    return _ScaledClasses(WeightMultiset(entries.items()))
+    return WeightMultiset(entries.items())._scaled
 
 
-def plans_for(classes, k):
-    return tier_plans(classes.scaled, classes.copies, k, [(0, k)] * len(classes))
+def plans_for(scaled, copies, k):
+    return tier_plans(scaled, copies, k, [(0, k)] * len(scaled))
 
 
 def dominance(copies, windows, i, j):
@@ -71,15 +71,15 @@ def test_item_starts_at_its_dominance_raised_cost():
     tier left out is past the window or starts over the budget."""
     rng = random.Random(99)
     for _ in range(300):
-        classes = random_classes(rng, max_copies=6, max_total=12)
+        scaled, copies, _ = random_classes(rng, max_copies=6, max_total=12)
         windows = []
-        for n in classes.copies:
+        for n in copies:
             lo = rng.randint(0, 4 * n)
             windows.append((lo, lo + rng.randint(0, 5 * n)))
         k = rng.randint(0, 80)
-        plans = tier_plans(classes.scaled, classes.copies, k, windows)
+        plans = tier_plans(scaled, copies, k, windows)
         for i, (s, n, (lo, hi), items) in enumerate(
-            zip(classes.scaled, classes.copies, windows, plans)
+            zip(scaled, copies, windows, plans)
         ):
             tiers = set()
             for cost, value, start in items:
@@ -87,14 +87,14 @@ def test_item_starts_at_its_dominance_raised_cost():
                 tiers.add(j)
                 filled = max(lo, n * (j - 1))  # units before the tier's first
                 paid = half_cost(n, filled) - half_cost(n, lo)
-                paid += dominance(classes.copies, windows, i, j)
+                paid += dominance(copies, windows, i, j)
                 assert start == cost + paid
                 assert start <= k
             j = lo // n + 1 + len(tiers)
             assert tiers == set(range(lo // n + 1, j))
             filled = max(lo, n * (j - 1))
             paid = half_cost(n, filled) - half_cost(n, lo)
-            assert filled >= hi or paid + j + dominance(classes.copies, windows, i, j) > k
+            assert filled >= hi or paid + j + dominance(copies, windows, i, j) > k
 
 
 def _plain_tier_items(n, s, k, lo, hi):
@@ -149,20 +149,20 @@ def test_raised_starts_match_plain_plans():
     rng = random.Random(4242)
     cut = 0
     for trial in range(400):
-        classes = random_classes(rng, max_copies=5, max_total=10 if trial % 2 else 4)
+        scaled, copies, _ = random_classes(rng, max_copies=5, max_total=10 if trial % 2 else 4)
         h = rng.randint(0, 40 if trial % 2 else 16)
         if trial % 2:
             windows = []
-            for n in classes.copies:
+            for n in copies:
                 lo = rng.randint(0, 4 * n)
                 windows.append((lo, lo + rng.randint(0, 5 * n)))
         else:
-            windows = [(0, h)] * len(classes)
-        cells, plain_cells = _same_as_plain_plans(classes.scaled, classes.copies, h, windows)
+            windows = [(0, h)] * len(scaled)
+        cells, plain_cells = _same_as_plain_plans(scaled, copies, h, windows)
         cut += cells < plain_cells
         if not trial % 2:
-            dp, _ = tier_dp(plans_for(classes, h), h, keep=False)
-            assert dp.tolist() == brute_per_copy(classes.scaled, classes.copies, 2 * h)[::2]
+            dp, _ = tier_dp(plans_for(scaled, copies, h), h, keep=False)
+            assert dp.tolist() == brute_per_copy(scaled, copies, 2 * h)[::2]
     assert cut > 100  # the rule does raise starts
 
 
@@ -206,32 +206,32 @@ def test_plans_need_strictly_descending_values():
 def test_kernel_against_reference(keep):
     rng = random.Random(2024)
     for _ in range(40):
-        classes = random_classes(rng)
+        scaled, copies, _ = random_classes(rng)
         h = rng.randint(0, 20)  # the half budget: the full budget is 2h
-        brute = brute_per_copy(classes.scaled, classes.copies, 2 * h + 1)
+        brute = brute_per_copy(scaled, copies, 2 * h + 1)
         # every cost d^2 + d is even, which is what the halving rests on
         assert all(brute[2 * b + 1] == brute[2 * b] for b in range(h + 1))
-        dp, history = tier_dp(plans_for(classes, h), h, keep=keep)
+        dp, history = tier_dp(plans_for(scaled, copies, h), h, keep=keep)
         assert [int(x) for x in dp] == brute[: 2 * h + 1 : 2]
         if keep:
             # history[i] is the dp over the first i classes
-            assert len(history) == len(classes) + 1
+            assert len(history) == len(scaled) + 1
             for i, before in enumerate(history):
                 assert [int(x) for x in before] == brute_per_copy(
-                    classes.scaled[:i], classes.copies[:i], 2 * h
+                    scaled[:i], copies[:i], 2 * h
                 )[::2]
 
 
 def test_witness_reproduces_value_in_normal_form():
     rng = random.Random(31337)
     for _ in range(60):
-        classes = random_classes(rng, max_copies=40, max_total=60)
+        scaled, copies, _ = random_classes(rng, max_copies=40, max_total=60)
         h = rng.randint(0, 200)
-        windows = [(0, h)] * len(classes)
-        dp, history = tier_dp(plans_for(classes, h), h, keep=True)
-        units = backtrack(classes.scaled, classes.copies, history, windows, h)
-        assert sum(u * s for u, s in zip(units, classes.scaled)) == dp[h]
-        assert sum(normal_cost(n, u) for u, n in zip(units, classes.copies)) <= 2 * h
+        windows = [(0, h)] * len(scaled)
+        dp, history = tier_dp(plans_for(scaled, copies, h), h, keep=True)
+        units = backtrack(scaled, copies, history, windows, h)
+        assert sum(u * s for u, s in zip(units, scaled)) == dp[h]
+        assert sum(normal_cost(n, u) for u, n in zip(units, copies)) <= 2 * h
     wm = WeightMultiset([(Fraction(7, 3), 5), (Fraction(1, 4), 30)])
     result = multiset_capacity_oracle(wm, 150)
     for c in result.witness.classes:
@@ -256,8 +256,7 @@ def test_lanes_agree_on_a_scaled_multiset():
     scaled."""
     wm = WeightMultiset([(Fraction(7), 1), (Fraction(4), 3), (Fraction(1), 2)])
     k = 40
-    small = _ScaledClasses(wm)
-    plans = plans_for(small, k)
+    plans = plans_for(*wm._scaled[:2], k)
     bound = sum(v for items in plans for _, v, _ in items)
     dp_small, _ = tier_dp(plans, k, keep=False)
     oracle_small = multiset_capacity_oracle(wm, k)
@@ -266,8 +265,7 @@ def test_lanes_agree_on_a_scaled_multiset():
     assert wrap * max(dp_small.tolist()) >= 2**31
     lanes = []
     for t in (below, above, wrap):
-        large = _ScaledClasses(wm.scaled(t))
-        dp, _ = tier_dp(plans_for(large, k), k, keep=False)
+        dp, _ = tier_dp(plans_for(*wm.scaled(t)._scaled[:2], k), k, keep=False)
         assert dp.tolist() == [t * v for v in dp_small.tolist()]
         result = multiset_capacity_oracle(wm.scaled(t), k)
         assert result.best == t * oracle_small.best
@@ -279,15 +277,15 @@ def test_lanes_agree_on_a_scaled_multiset():
 def test_object_dtype_for_large_values():
     big = 2**70
     wm = WeightMultiset([(Fraction(3, 2), 2), (Fraction(1, 3), 4)])
-    classes = _ScaledClasses(wm.scaled(big))
+    scaled, copies, den = wm.scaled(big)._scaled
     k_max = 30
-    dp, _ = tier_dp(plans_for(classes, k_max), k_max, keep=False)
+    dp, _ = tier_dp(plans_for(scaled, copies, k_max), k_max, keep=False)
     assert dp.dtype == object
     assert max(dp) >= 2**62
     for k in (1, 7, 30):
         small = multiset_capacity_oracle(wm, k)
         large = multiset_capacity_oracle(wm.scaled(big), k)
-        assert large.best == big * small.best == Fraction(int(dp[k]), classes.denominator)
+        assert large.best == big * small.best == Fraction(int(dp[k]), den)
         assert large.witness.value == large.best
 
 
@@ -297,26 +295,26 @@ def test_window_dp_matches_enumeration():
     windows, at every budget, and backtrack stays in the windows."""
     rng = random.Random(7)
     for _ in range(300):
-        classes = random_classes(rng, max_copies=4, max_total=6)
+        scaled, copies, _ = random_classes(rng, max_copies=4, max_total=6)
         windows = []
-        for n in classes.copies:
+        for n in copies:
             lo = rng.randint(0, 3 * n)
             windows.append((lo, lo + rng.randint(0, 2 * n + 2)))
-        base = sum(half_cost(n, lo) for n, (lo, _) in zip(classes.copies, windows))
-        base_value = sum(s * lo for s, (lo, _) in zip(classes.scaled, windows))
+        base = sum(half_cost(n, lo) for n, (lo, _) in zip(copies, windows))
+        base_value = sum(s * lo for s, (lo, _) in zip(scaled, windows))
         h = rng.randint(0, 30)
         dp, history = tier_dp(
-            tier_plans(classes.scaled, classes.copies, h, windows), h, keep=True
+            tier_plans(scaled, copies, h, windows), h, keep=True
         )
         best = [None] * (h + 1)
         for units in itertools.product(*(range(lo, hi + 1) for lo, hi in windows)):
-            cost = sum(half_cost(n, u) for n, u in zip(classes.copies, units)) - base
-            value = sum(s * u for s, u in zip(classes.scaled, units))
+            cost = sum(half_cost(n, u) for n, u in zip(copies, units)) - base
+            value = sum(s * u for s, u in zip(scaled, units))
             for b in range(max(cost, 0), h + 1):
                 if best[b] is None or value > best[b]:
                     best[b] = value
         assert [base_value + int(x) for x in dp] == best
-        units = backtrack(classes.scaled, classes.copies, history, windows, h)
+        units = backtrack(scaled, copies, history, windows, h)
         assert all(lo <= u <= hi for u, (lo, hi) in zip(units, windows))
-        assert sum(half_cost(n, u) for n, u in zip(classes.copies, units)) - base <= h
-        assert sum(s * u for s, u in zip(classes.scaled, units)) == best[h]
+        assert sum(half_cost(n, u) for n, u in zip(copies, units)) - base <= h
+        assert sum(s * u for s, u in zip(scaled, units)) == best[h]
