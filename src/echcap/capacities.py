@@ -441,7 +441,8 @@ class CapacityProfile:
     c_k above it from ``multiset_capacity_fast``: exact, or an interval
     when its window DP is over the cell limit.  The sweep runs on the first
     query at or below ``reach``, so a profile asked only above it runs
-    none.  Intervals are memoized by k for the life of the profile.
+    none.  Intervals are memoized by k for the life of the profile;
+    ``column`` hands out c_0..c_k in one call, by the same engines.
 
     ``volume`` is the domain's symplectic volume: the area of an
     ellipsoid's moment triangle, and otherwise the total ball volume of
@@ -471,15 +472,39 @@ class CapacityProfile:
                 c = ellipsoid_capacity(domain, k)
                 self._memo[k] = (c, c)
             elif k <= self.reach:
-                if self._table is None:
-                    self._table = multiset_capacity_table(domain, self.reach, self._oracle_limit)
-                dp, den = self._table
+                dp, den = self._sweep()
                 c = Fraction(int(dp[k]), den)
                 self._memo[k] = (c, c)
             else:
                 result = multiset_capacity_fast(domain, k)
                 self._memo[k] = (result.best, result.upper)
         return self._memo[k]
+
+    def column(self, k_max: int) -> tuple:
+        """(values, uppers) for c_0..c_k_max: ``values[k]`` is c_k, or the
+        lower end of its interval, and ``uppers`` maps each k whose c_k is
+        only an interval to the upper end.  An ellipsoid counts lattice
+        points per k; weights read the sweep up to ``reach`` as one
+        ``fractions_over`` list, and ask ``interval`` above it."""
+        if k_max < 0:
+            raise ValueError("capacity index must be >= 0")
+        if isinstance(self.domain, Ellipsoid):
+            return [ellipsoid_capacity(self.domain, k) for k in range(k_max + 1)], {}
+        dp, den = self._sweep()
+        values = fractions_over(dp[: min(k_max, self.reach) + 1], den)
+        uppers = {}
+        for k in range(self.reach + 1, k_max + 1):
+            lo, hi = self.interval(k)
+            values.append(lo)
+            if lo != hi:
+                uppers[k] = hi
+        return values, uppers
+
+    def _sweep(self) -> tuple:
+        """The integer sweep table (dp, D) to ``reach``, built on first use."""
+        if self._table is None:
+            self._table = multiset_capacity_table(self.domain, self.reach, self._oracle_limit)
+        return self._table
 
 
 def weyl_ratio(domain, k: int) -> Scalar:

@@ -64,12 +64,12 @@ def cmd_capacity(args) -> tuple:
     k_max = args.k if args.kmax is None else args.kmax
     profile = CapacityProfile(load_domain(args.domain), k_max)
     if args.kmax is not None:
-        rows = []
-        for k in range(args.kmax + 1):
-            lo, hi = profile.interval(k)
-            exact = lo == hi
-            gap = 0.0 if exact else float(relative_gap(lo, hi))
-            rows.append((k, lo.numerator, lo.denominator, int(exact), gap))
+        values, uppers = profile.column(args.kmax)
+        gaps = {k: float(relative_gap(values[k], hi)) for k, hi in uppers.items()}
+        rows = [
+            (k, c.numerator, c.denominator, int(k not in gaps), gaps.get(k, 0.0))
+            for k, c in enumerate(values)
+        ]
         return 0, [("capacity.csv", _csv(("k", "c_k_num", "c_k_den", "exact", "gap"), rows))]
     lo, hi = profile.interval(args.k)
     doc = {
@@ -122,10 +122,7 @@ def cmd_chart(args) -> tuple:
         with open(args.points, newline="") as fh:
             for row in csv.reader(fh):
                 if row and not row[0].lstrip().startswith("#"):
-                    try:
-                        rows.append([Fraction(c) for c in row])
-                    except ZeroDivisionError:
-                        raise ValueError(f"zero denominator in point {row}") from None
+                    rows.append([parse_rational(c) for c in row])
     else:
         rows = [[parse_rational(c) for c in args.x.split(",")]]
     points = [chart_embed(point, snap=args.mode, precision=args.precision) for point in rows]

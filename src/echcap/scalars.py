@@ -9,11 +9,17 @@ sweep's c_k list: it reduces every value against the common denominator
 in numpy and then fills the two slots of each ``Fraction`` directly, as
 CPython's own ``Fraction._from_coprime_ints`` (3.12+) does:
 ``Fraction(v, den)`` spends most of its time on a per-call gcd and
-argument checks that a reduced, positive pair does not need.
+argument checks that a reduced, positive pair does not need.  It fills
+the new objects with the cyclic garbage collector paused, the one place
+in the package that touches ``gc``: a ``Fraction``'s two slots hold ints,
+so the list cannot form a cycle, and the collections its allocations set
+off during the build (about 130 gen-0, 12 gen-1 and one gen-2 per 10^5
+objects, most of the build's time) freed nothing.
 """
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 from fractions import Fraction
 from itertools import repeat
@@ -101,6 +107,14 @@ def fractions_over(values: np.ndarray, den: int) -> list:
     with a positive denominator, so the objects are made by
     ``object.__new__`` and their ``_numerator`` and ``_denominator`` slots
     set in C-level ``map`` passes, with no Python code per element.
+
+    The cyclic GC is paused for those three passes and then put back as it
+    was, also when they raise.  The objects are acyclic and stay alive, so
+    a collection during the build frees nothing.  The allocation count
+    still counts them, so the caller's next allocation runs one gen-0
+    collection (unless objects freed first bring the count down) in place
+    of one per 700 objects, and the gen-1 and gen-2 collections those would
+    set off do not happen.
     """
     if den == 1:
         nums = values.tolist()
@@ -111,7 +125,13 @@ def fractions_over(values: np.ndarray, den: int) -> list:
         g = np.gcd(values, den)
         nums = (values // g).tolist()
         dens = (den // g).tolist()
-    out = list(map(object.__new__, repeat(Fraction, len(values))))
-    deque(map(setattr, out, repeat("_numerator"), nums), maxlen=0)
-    deque(map(setattr, out, repeat("_denominator"), dens), maxlen=0)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        out = list(map(object.__new__, repeat(Fraction, len(values))))
+        deque(map(setattr, out, repeat("_numerator"), nums), maxlen=0)
+        deque(map(setattr, out, repeat("_denominator"), dens), maxlen=0)
+    finally:
+        if enabled:
+            gc.enable()
     return out

@@ -382,6 +382,36 @@ def test_profile_above_reach_runs_no_sweep(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("cell_limit", [capacities._CELL_LIMIT, 0], ids=["exact", "intervals"])
+@pytest.mark.parametrize(
+    "domain",
+    [
+        Ellipsoid(Fraction(3, 4), Fraction(5, 3)),
+        MomentProfile([(0, 3), (1, 1), (3, 0)]),
+        WeightMultiset([(Fraction(7, 3), 4), (Fraction(5, 11), 9), (Fraction(1, 13), 30)]),
+    ],
+    ids=["ellipsoid", "profile", "weights"],
+)
+@pytest.mark.parametrize(
+    "oracle_limit, k_max", [(capacities.DEFAULT_ORACLE_LIMIT, 40), (10, 40), (10, 3)]
+)
+def test_column_matches_interval(domain, oracle_limit, k_max, cell_limit, monkeypatch):
+    """c_0..c_k from one call are the profile's intervals k by k, below
+    and above the sweep's reach, with an upper end only where c_k is an
+    interval; the column may run past the profile's own k_max."""
+    monkeypatch.setattr(capacities, "_CELL_LIMIT", cell_limit)
+    profile = CapacityProfile(domain, k_max, oracle_limit=oracle_limit)
+    for top in (k_max, 2 * k_max, 0):
+        values, uppers = CapacityProfile(domain, k_max, oracle_limit=oracle_limit).column(top)
+        assert len(values) == top + 1 and all(type(c) is Fraction for c in values)
+        for k, c in enumerate(values):
+            lo, hi = profile.interval(k)
+            assert (c, uppers.get(k, c)) == (lo, hi)
+            assert (k in uppers) == (lo != hi)
+    with pytest.raises(ValueError, match="capacity index must be >= 0"):
+        profile.column(-1)
+
+
 def test_weyl_ratio_converges():
     assert CapacityProfile(Ellipsoid.ball(1), 0).volume == Fraction(1, 2)
     r = weyl_ratio(Ellipsoid.ball(1), 5000)

@@ -345,6 +345,29 @@ def test_chart_points_file(tmp_path, capsys):
     assert len(rows) == 3
 
 
+@pytest.mark.parametrize("entry", ["x", "points"])
+def test_chart_reads_one_number_grammar(entry, tmp_path, capsys):
+    """A points file and --x both read "p/q": decimals and exponents are a
+    one-line error from each, and 1/2,1/10 gives one CSV from both."""
+
+    def chart(point):
+        if entry == "x":
+            return main(["chart", "--x", point])
+        path = tmp_path / "pts.csv"
+        path.write_text(f"# x\n{point}\n")
+        return main(["chart", "--points", str(path)])
+
+    assert chart("0.5,1e-1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert chart("1/2,1/10") == 0
+    out = capsys.readouterr().out
+    assert main(["chart", "--x", "1/2,1/10"]) == 0
+    assert capsys.readouterr().out == out
+    assert list(csv.reader(io.StringIO(out)))[1][0] == "1/2;1/10"
+
+
 def test_chart_needs_points_or_x(capsys):
     assert main(["chart"]) == 2
     captured = capsys.readouterr()

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module,
 only the CLI and the domain-file module write files or standard output,
-and only ``scalars`` takes the lcm of denominators."""
+and only ``scalars`` takes the lcm of denominators or touches the cyclic
+garbage collector."""
 
 import ast
 from pathlib import Path
@@ -123,3 +124,38 @@ def test_lcm_call_is_found():
         "import math\nfrom math import lcm\nmath.lcm(2, 3)\nlcm(*xs)\nf(lcm)\nx.lcm_of(1)\n"
     )
     assert lcm_calls(tree) == [3, 4]
+
+
+def gc_uses(tree) -> list:
+    """Lines that import ``gc`` or anything from it, or read or call
+    ``gc.<name>``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            lines.append(node.lineno)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "gc"
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+# pausing the collector is one decision, in scalars.fractions_over
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "scalars.py"], ids=lambda p: p.name
+)
+def test_only_scalars_touches_gc(path):
+    lines = gc_uses(ast.parse(path.read_text()))
+    assert not lines, f"{path.name} uses gc on lines {lines}; leave the collector to scalars"
+
+
+def test_gc_use_is_found():
+    tree = ast.parse(
+        "import gc\nimport os, gc as g\nfrom gc import disable\ngc.disable()\n"
+        "gc.callbacks.append(f)\ngc_count(1)\nx.gc.collect\nimport gcx\n"
+    )
+    assert gc_uses(tree) == [1, 2, 3, 4, 5]
