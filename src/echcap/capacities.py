@@ -441,8 +441,17 @@ class CapacityProfile:
     c_k above it from ``multiset_capacity_fast``: exact, or an interval
     when its window DP is over the cell limit.  The sweep runs on the first
     query at or below ``reach``, so a profile asked only above it runs
-    none.  Intervals are memoized by k for the life of the profile;
-    ``column`` hands out c_0..c_k in one call, by the same engines.
+    none.  ``column`` hands out c_0..c_k in one call, by the same engines.
+
+    Every answer is an integer over the profile's one denominator ``den``:
+    the weights' integer-form denominator (``WeightMultiset._scaled``), or
+    an ellipsoid's ``integer_form`` denominator of its axes, over which
+    every lattice value is an integer.  ``scaled_interval(k)`` returns
+    (lo, hi) with lo/den <= c_k <= hi/den, equal when c_k is exact: the
+    sweep's ``int(dp[k])`` as is, and a lattice count's or the engine's
+    Fractions converted once, on the first query.  These integer pairs are
+    memoized by k for the life of the profile, and ``interval(k)`` builds
+    its Fractions from them.
 
     ``volume`` is the domain's symplectic volume: the area of an
     ellipsoid's moment triangle, and otherwise the total ball volume of
@@ -454,31 +463,40 @@ class CapacityProfile:
         self.reach = 0
         if isinstance(domain, Ellipsoid):
             self.volume = area(domain)
+            self.den = integer_form((domain.a, domain.b))[1]
         else:
             domain = as_weights(domain)
             self.volume = domain.total_area()
+            self.den = domain._scaled[2]
             self.reach = min(k_max, oracle_limit // 2)
         self.domain = domain
         self._oracle_limit = oracle_limit
         self._table = None
         self._memo = {}
 
-    def interval(self, k: int) -> tuple:
-        if k not in self._memo:
+    def scaled_interval(self, k: int) -> tuple:
+        """(lo, hi), integers with lo/den <= c_k <= hi/den, equal iff c_k
+        is exact."""
+        pair = self._memo.get(k)
+        if pair is None:
             if k < 0:
                 raise ValueError("capacity index must be >= 0")
             domain = self.domain
             if isinstance(domain, Ellipsoid):
-                c = ellipsoid_capacity(domain, k)
-                self._memo[k] = (c, c)
+                lo = hi = self._over_den(ellipsoid_capacity(domain, k))
             elif k <= self.reach:
-                dp, den = self._sweep()
-                c = Fraction(int(dp[k]), den)
-                self._memo[k] = (c, c)
+                lo = hi = int(self._sweep()[0][k])
             else:
                 result = multiset_capacity_fast(domain, k)
-                self._memo[k] = (result.best, result.upper)
-        return self._memo[k]
+                lo, hi = self._over_den(result.best), self._over_den(result.upper)
+            pair = self._memo[k] = (lo, hi)
+        return pair
+
+    def interval(self, k: int) -> tuple:
+        """(lo, hi) as Fractions, equal when c_k is exact."""
+        lo, hi = self.scaled_interval(k)
+        c = Fraction(lo, self.den)
+        return (c, c) if lo == hi else (c, Fraction(hi, self.den))
 
     def column(self, k_max: int) -> tuple:
         """(values, uppers) for c_0..c_k_max: ``values[k]`` is c_k, or the
@@ -499,6 +517,11 @@ class CapacityProfile:
             if lo != hi:
                 uppers[k] = hi
         return values, uppers
+
+    def _over_den(self, value: Fraction) -> int:
+        """value * den, an integer: every engine's answer has a denominator
+        that divides ``den``."""
+        return value.numerator * (self.den // value.denominator)
 
     def _sweep(self) -> tuple:
         """The integer sweep table (dp, D) to ``reach``, built on first use."""

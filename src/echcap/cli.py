@@ -19,6 +19,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 
 from .capacities import CapacityProfile, as_weights, relative_gap, weyl_ratio
@@ -44,15 +45,25 @@ def _json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _csv(columns, rows) -> str:
+def _csv(columns, rows, floats=()) -> str:
     """A header row and the rows, in the ``csv`` module's default dialect:
-    a float cell to 12 significant digits, None as an empty cell."""
+    each cell of the columns named in ``floats`` to 12 significant digits,
+    None as an empty cell.  Only those columns are formatted: the rows are
+    taken apart into columns, and zipped back, in C-level passes."""
     text = io.StringIO()
     writer = csv.writer(text)
     writer.writerow(columns)
-    writer.writerows(
-        [format(cell, ".12g") if isinstance(cell, float) else cell for cell in row] for row in rows
-    )
+    if floats:
+        cells = []
+        for i, name in enumerate(columns):
+            column = map(itemgetter(i), rows)
+            cells.append(
+                [None if cell is None else format(cell, ".12g") for cell in column]
+                if name in floats
+                else list(column)
+            )
+        rows = zip(*cells)
+    writer.writerows(rows)
     return text.getvalue()
 
 
@@ -70,7 +81,8 @@ def cmd_capacity(args) -> tuple:
             (k, c.numerator, c.denominator, int(k not in gaps), gaps.get(k, 0.0))
             for k, c in enumerate(values)
         ]
-        return 0, [("capacity.csv", _csv(("k", "c_k_num", "c_k_den", "exact", "gap"), rows))]
+        columns = ("k", "c_k_num", "c_k_den", "exact", "gap")
+        return 0, [("capacity.csv", _csv(columns, rows, ("gap",)))]
     lo, hi = profile.interval(args.k)
     doc = {
         "k": args.k,
@@ -198,7 +210,14 @@ def cmd_certificate(args) -> tuple:
     # the CSV second, so standard output gets only the JSON
     return (0 if cert.consistent else 1), [
         ("certificate.json", _json(doc)),
-        ("certificate.csv", _csv(("pair", "metric", "lower", "upper", "witness_k", "gap"), cells)),
+        (
+            "certificate.csv",
+            _csv(
+                ("pair", "metric", "lower", "upper", "witness_k", "gap"),
+                cells,
+                ("metric", "lower", "upper", "gap"),
+            ),
+        ),
     ]
 
 
@@ -222,9 +241,10 @@ def _experiment_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _run_experiment(runner, args) -> tuple:
+def _run_experiment(runner, args, floats) -> tuple:
     """Print the verdict lines, with or without --out, and return the
-    report and its CSV only under --out."""
+    report and its CSV, with its float columns ``floats``, only under
+    --out."""
     report = runner(_experiment_config(args))
     for name, ok, detail in report.verdicts:
         status = "PASS" if ok else "FAIL"
@@ -239,7 +259,7 @@ def _run_experiment(runner, args) -> tuple:
         }
         files = [
             (f"{report.command}_report.json", _json(doc)),
-            (f"{report.command}.csv", _csv(report.columns, report.rows)),
+            (f"{report.command}.csv", _csv(report.columns, report.rows, floats)),
         ]
     return (0 if report.passed else 1), files
 
@@ -248,7 +268,7 @@ def cmd_notsame(args) -> tuple:
     # a negative --kmax is refused as a capacity index; 0 would sample no k
     if args.kmax == 0:
         raise EchcapError("notsame needs --kmax >= 1")
-    return _run_experiment(run_notsame, args)
+    return _run_experiment(run_notsame, args, ("log_ratio",))
 
 
 def _timed(args) -> int:
@@ -316,13 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lemma-cap", help="capacity growth sweep")
     p.add_argument("--params")
-    p.set_defaults(func=lambda a: _run_experiment(run_lemma_cap_sweep, a))
+    p.set_defaults(func=lambda a: _run_experiment(run_lemma_cap_sweep, a, ("ratio", "gap")))
 
     p = sub.add_parser("ched", help="warm-up inequality experiment")
     p.add_argument("--epsilon")
     p.add_argument("--volume")
     p.add_argument("--kmax", type=int)
-    p.set_defaults(func=lambda a: _run_experiment(run_ched_warmup, a))
+    p.set_defaults(func=lambda a: _run_experiment(run_ched_warmup, a, ("weyl_side",)))
 
     p = sub.add_parser("notsame", help="inclusion vs embedding contrast")
     p.add_argument("--epsilon")

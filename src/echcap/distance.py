@@ -39,31 +39,51 @@ def sample_indices(k_max: int, per_decade: int = DEFAULT_SAMPLES_PER_DECADE) -> 
     return sorted(ks)
 
 
+def _quotient(num: int, den: int) -> float | int:
+    """num/den for integers num >= den >= 1, as ``math.log`` takes it: the
+    correctly rounded float, as ``math.log`` of the Fraction num/den rounds
+    it, or past the float range the integer num // den, which ``math.log``
+    takes at any size and which is within a factor 1 + 2^-999 of num/den."""
+    return num // den if num.bit_length() - den.bit_length() > 1000 else num / den
+
+
 def capacity_lower_bound(
     pu: CapacityProfile, pv: CapacityProfile, K: int, per_decade: int = DEFAULT_SAMPLES_PER_DECADE
 ) -> tuple:
     """max over sampled 1 <= k <= K of |ln(c_k(U)/c_k(V))|, a valid lower
-    bound for d_SM(U, V); intervals propagate conservatively.  The
-    capacities come from the profiles of U and V, which share them across
-    calls.
+    bound for d_SM(U, V); intervals propagate conservatively, as the larger
+    of lo_u/hi_v and lo_v/hi_u.  The capacities come from the profiles of U
+    and V, which share them across calls.
 
-    Returns (bound, witness_k), witness_k the first k that reaches the
-    bound."""
-    best = 0.0
-    witness = 0
+    The ratios are compared exactly, in integers: each profile hands out
+    c_k as integers over its own denominator (``scaled_interval``), so with
+    D_u and D_v those denominators lo_u/hi_v = (lo_u D_v) / (hi_v D_u), and
+    a ratio p/q beats the largest so far, num/den, iff p den > num q.  The
+    largest ratio is kept as that exact fraction, and its logarithm is
+    taken once, at the end (``_quotient``: at any size); it is the same
+    float as the largest of the per-k logarithms, since both round the
+    same rational.
+
+    Returns (bound, witness_k), witness_k the first k whose ratio is the
+    exactly largest.  Two ratios that differ exactly can have the same
+    float logarithm; the witness is then the k of the larger.  When the
+    bound is 0.0, no ratio is above 1 or the largest one's logarithm
+    rounds to 0, and the result is (0.0, 0)."""
+    d_u, d_v = pu.den, pv.den
+    num, den, witness = 1, 1, 0
     for k in sample_indices(K, per_decade):
-        lo_u, hi_u = pu.interval(k)
-        lo_v, hi_v = pv.interval(k)
-        if min(lo_u, lo_v, hi_u, hi_v) <= 0:
+        lo_u, hi_u = pu.scaled_interval(k)
+        lo_v, hi_v = pv.scaled_interval(k)
+        if lo_u <= 0 or lo_v <= 0:
             continue  # k = 0 style degeneracies are excluded by k >= 1
-        bound = max(
-            math.log(lo_u / hi_v),
-            math.log(lo_v / hi_u),
-            0.0,
-        )
-        if bound > best:
-            best, witness = bound, k
-    return best, witness
+        p, q = lo_u * d_v, hi_v * d_u
+        if p * den > num * q:
+            num, den, witness = p, q, k
+        p, q = lo_v * d_u, hi_u * d_v
+        if p * den > num * q:
+            num, den, witness = p, q, k
+    bound = math.log(_quotient(num, den))
+    return (bound, witness) if bound > 0.0 else (0.0, 0)
 
 
 def volume_lower_bound(pu: CapacityProfile, pv: CapacityProfile) -> float:
@@ -73,7 +93,8 @@ def volume_lower_bound(pu: CapacityProfile, pv: CapacityProfile) -> float:
     vv = pv.volume
     if vu <= 0 or vv <= 0:
         raise ValueError("volume lower bound needs positive areas")
-    return math.log(max(vu, vv) / min(vu, vv)) / 2
+    ratio = max(vu, vv) / min(vu, vv)
+    return math.log(_quotient(ratio.numerator, ratio.denominator)) / 2
 
 
 @dataclass(frozen=True)
@@ -88,8 +109,9 @@ def inclusion_distance(U, V) -> InclusionResult:
     bound for d_SM."""
     t_uv = inclusion_scale(U, V)
     t_vu = inclusion_scale(V, U)
+    scale = max(t_uv, t_vu)
     return InclusionResult(
-        distance=math.log(max(t_uv, t_vu)),
+        distance=math.log(_quotient(scale.numerator, scale.denominator)),
         scale_into_v=t_uv,
         scale_into_u=t_vu,
     )
@@ -222,9 +244,10 @@ def certificate(
     if k_cap < 0:
         raise ValueError("capacity index must be >= 0")
     rows = []
-    pending = []  # (row index, v, w, metric, K)
-    built = {}  # vector -> its weights, or the EchcapError building them
-    k_needed = {}  # vector -> the largest K of its pairs
+    pending = []  # (row index, v, w, slot of v, slot of w, metric, K)
+    slots = {}  # vector -> its slot, the one lookup of the vector per pair side
+    built = []  # per slot: its weights, or the EchcapError building them
+    k_needed = {}  # slot -> the largest K of its pairs
     for v, w in pairs:
         if len(v) != len(w):
             rows.append(
@@ -232,34 +255,38 @@ def certificate(
             )
             continue
         metric = float(q_metric(v.B, w.B, precision=precision))
+        sides = []
         for x in (v, w):
-            if x not in built:
+            slot = slots.get(x)
+            if slot is None:
+                slot = slots[x] = len(built)
                 try:
-                    built[x] = build_weights(x)
+                    built.append(build_weights(x))
                 except EchcapError as exc:  # irrational weights etc.
-                    built[x] = exc
-        failed = [built[x] for x in (v, w) if isinstance(built[x], EchcapError)]
+                    built.append(exc)
+            sides.append(slot)
+        failed = [built[s] for s in sides if isinstance(built[s], EchcapError)]
         if failed:
             rows.append(PairResult(v, w, metric, None, None, 0, True, str(failed[0])))
             continue
         k_target = min(k_cap, max(int(b ** (i + 2)) for x in (v, w) for i, b in enumerate(x.B)))
-        for x in (v, w):
-            k_needed[x] = max(k_needed.get(x, 0), k_target)
-        pending.append((len(rows), v, w, metric, k_target))
+        for s in sides:
+            k_needed[s] = max(k_needed.get(s, 0), k_target)
+        pending.append((len(rows), v, w, *sides, metric, k_target))
         rows.append(None)
 
-    profiles = {x: CapacityProfile(built[x], k, oracle_limit) for x, k in k_needed.items()}
+    profiles = {s: CapacityProfile(built[s], k, oracle_limit) for s, k in k_needed.items()}
     regions = {}
     if include_inclusion:
-        for x in k_needed:
+        for s in k_needed:
             try:
-                regions[x] = realize(built[x])
+                regions[s] = realize(built[s])
             except RealizationLimitError:
                 pass  # past the realization limit: no inclusion bound
-    for idx, v, w, metric, k_target in pending:
+    for idx, v, w, sv, sw, metric, k_target in pending:
         report = _report(
-            profiles[v], profiles[w], k_target, per_decade,
-            regions.get(v), regions.get(w), _lemma_bound(len(v), metric),
+            profiles[sv], profiles[sw], k_target, per_decade,
+            regions.get(sv), regions.get(sw), _lemma_bound(len(v), metric),
         )
         rows[idx] = PairResult(v, w, metric, report.lower, report.upper, report.capacity_witness_k)
     evaluated = [p for p in rows if not p.skipped]

@@ -456,9 +456,18 @@ def test_distance_of_quasiflat_and_other_domain(other, quasiflat_file, request, 
         assert doc["lower_volume"] > 0  # the quasi-flat has volume 10, the others at most 2
 
 
+def reference_cells(row) -> list:
+    """A CSV row as the per-cell rule writes it: a float to 12 significant
+    digits, None as an empty cell, anything else as its string."""
+    return [
+        format(c, ".12g") if isinstance(c, float) else "" if c is None else str(c) for c in row
+    ]
+
+
 def test_certificate_out_with_skipped_pairs(tmp_path, capsys):
     """B = 5 has no rational square root, so its pairs are skipped: null in
-    the JSON, empty cells in the CSV."""
+    the JSON, empty cells in the CSV; every CSV cell is the JSON's value
+    by the per-cell rule."""
     assert main(["certificate", "--grid", "4,5", "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "certificate.json").read_text())
     rows = list(csv.reader(io.StringIO((tmp_path / "certificate.csv").read_text())))
@@ -470,6 +479,29 @@ def test_certificate_out_with_skipped_pairs(tmp_path, capsys):
             assert (row[2], row[3], row[5]) == ("", "", "")
         else:
             assert row[2] != ""
+        columns = ("pair", "metric", "lower", "upper", "witness_k", "gap")
+        assert row == reference_cells(pair[c] for c in columns)
+
+
+@pytest.mark.parametrize(
+    "verb, args, runner, config",
+    [
+        ("lemma-cap", [], run_lemma_cap_sweep, ExperimentConfig()),
+        (
+            "notsame",
+            ["--epsilon", "1/4", "--kmax", "20"],
+            run_notsame,
+            ExperimentConfig(epsilon=Fraction(1, 4), k_max=20),
+        ),
+    ],
+)
+def test_experiment_csv_follows_the_per_cell_rule(verb, args, runner, config, tmp_path, capsys):
+    """The CSV of each experiment holds the driver's rows, formatted only
+    in the columns the verb names as floats, which are every float cell."""
+    assert main([verb, *args, "--out", str(tmp_path)]) == 0
+    report = runner(config)
+    rows = list(csv.reader(io.StringIO((tmp_path / f"{report.command}.csv").read_text())))
+    assert rows == [list(report.columns)] + [reference_cells(row) for row in report.rows]
 
 
 # the second file a verb writes with --out, after the one in its row below

@@ -16,7 +16,7 @@ from echcap.distance import (
     volume_lower_bound,
 )
 from echcap.errors import DimensionMismatchError
-from echcap.geometry import Ellipsoid
+from echcap.geometry import Ellipsoid, MomentProfile
 from echcap.quasiflat import ParameterVector, build_domain, build_weights
 from echcap.weights import WeightMultiset, realize
 
@@ -32,11 +32,65 @@ def test_sample_indices():
 
 
 def test_capacity_lower_bound_scaled_balls():
-    # c_k(B(2)) = 2 c_k(B(1)) for every k, so the bound is exactly ln 2
+    # c_k(B(2)) = 2 c_k(B(1)) for every k, so the bound is exactly ln 2,
+    # first reached at k = 1
     balls = CapacityProfile(Ellipsoid.ball(1), 100), CapacityProfile(Ellipsoid.ball(2), 100)
     bound, witness = capacity_lower_bound(*balls, 100)
-    assert bound == pytest.approx(math.log(2))
-    assert witness >= 1
+    assert bound == math.log(2)
+    assert witness == 1
+
+
+class StubProfile:
+    """c_k as integer pairs over one denominator, as CapacityProfile hands
+    them out, and nothing else."""
+
+    def __init__(self, den, pairs):
+        self.den = den
+        self.pairs = pairs
+
+    def scaled_interval(self, k):
+        return self.pairs[k]
+
+
+# 2 + 2^-60 rounds to the float 2.0, so its logarithm ties with ln 2
+TIE = 2**60
+
+
+@pytest.mark.parametrize(
+    "u_pairs, witness",
+    [
+        # ratios 2, 2 + 2^-60, 2: the exactly largest is at k = 2, though
+        # its float logarithm ties with k = 1's
+        ({1: (2 * TIE,) * 2, 2: (2 * TIE + 1,) * 2, 3: (2 * TIE,) * 2}, 2),
+        # ratios 2 + 2^-60, 2, 2 + 2^-60: the first k with the largest
+        ({1: (2 * TIE + 1,) * 2, 2: (2 * TIE,) * 2, 3: (2 * TIE + 1,) * 2}, 1),
+        # intervals: k = 2 has ratio lo_u / hi_v = (2 + 2^-60) / 1, and
+        # k = 3 the ratio 2 + 2^-59 only on its upper end
+        ({1: (2 * TIE,) * 2, 2: (2 * TIE + 1, 3 * TIE), 3: (2 * TIE, 2 * TIE + 2)}, 2),
+    ],
+)
+def test_capacity_lower_bound_float_tie(u_pairs, witness):
+    """Two sampled k whose ratios differ exactly but whose float logarithms
+    are equal: the witness is the first k with the exactly largest ratio,
+    in both orders of the pair and across the two denominators."""
+    u = StubProfile(TIE, u_pairs)
+    v = StubProfile(3, {1: (3, 3), 2: (3, 3), 3: (3, 3)})  # c_k(V) = 1
+    assert math.log(Fraction(2 * TIE + 1, TIE)) == math.log(2)
+    assert capacity_lower_bound(u, v, 3) == (math.log(2), witness)
+    assert capacity_lower_bound(v, u, 3) == (math.log(2), witness)
+
+
+def test_capacity_lower_bound_zero_when_the_log_rounds_to_zero():
+    """A largest ratio above 1 whose logarithm rounds to 0.0, and one at or
+    below 1, both give (0.0, 0); a sampled k with a zero capacity is
+    skipped."""
+    tiny = StubProfile(TIE, {1: (TIE + 1, TIE + 1), 2: (TIE, TIE)})
+    one = StubProfile(1, {1: (1, 1), 2: (1, 1)})
+    assert Fraction(TIE + 1, TIE) > 1 and math.log(Fraction(TIE + 1, TIE)) == 0.0
+    assert capacity_lower_bound(tiny, one, 2) == (0.0, 0)
+    assert capacity_lower_bound(one, one, 2) == (0.0, 0)
+    zero = StubProfile(1, {1: (0, 0), 2: (2, 2)})
+    assert capacity_lower_bound(zero, one, 2) == (math.log(2), 2)
 
 
 def test_capacity_lower_bound_symmetry():
@@ -57,6 +111,25 @@ def test_volume_lower_bound():
     # a profile and its weights have the same volume
     w = WeightMultiset([(2, 1), (Fraction(1, 3), 5)])
     assert volume_bound(realize(w), w) == 0
+
+
+TINY_BALL = WeightMultiset([(Fraction(1, 10**400), 1)])
+
+
+@pytest.mark.parametrize("tiny", [TINY_BALL, realize(TINY_BALL)], ids=["weights", "profile"])
+def test_distance_past_the_float_range(tiny):
+    """B(10^-400), as weights and as a profile, against B(3/2): every ratio
+    is 1.5 * 10^400, past the float range, and every bound is its finite
+    logarithm, in both orders."""
+    ball = Ellipsoid.ball(Fraction(3, 2))
+    expected = math.log(15) + 399 * math.log(10)
+    for rep in (distance_report(tiny, ball, 10), distance_report(ball, tiny, 10)):
+        assert rep.lower_capacity == pytest.approx(expected, rel=1e-14)
+        assert rep.capacity_witness_k == 1
+        assert rep.lower_volume == pytest.approx(expected, rel=1e-14)
+        if isinstance(tiny, MomentProfile):
+            assert rep.upper_inclusion.distance == pytest.approx(expected, rel=1e-14)
+        assert rep.consistent
 
 
 def test_inclusion_distance():

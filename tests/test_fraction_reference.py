@@ -1,4 +1,5 @@
-"""The integer geometry layer against a Fraction-arithmetic reference.
+"""The integer geometry layer, and the integer capacity ratios of the
+distance bound, against a Fraction-arithmetic reference.
 
 The reference functions below are the moment-profile checks, the greedy
 weight expansion, ``realize`` and the radial walk written directly in
@@ -7,15 +8,25 @@ interpolating the touch point along a segment and taking one copy of a
 weight per step, except on triangles.  The package computes the same
 things in integers over one common denominator, a run of equal weights
 per step; every result must be equal, with the same Fraction values, and
-pickle to the same bytes.
+pickle to the same bytes.  The capacity lower bound's reference divides
+the engines' Fraction answers at every sampled k.
 """
 
+import math
 import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+from echcap import capacities
+from echcap.capacities import (
+    CapacityProfile,
+    ellipsoid_capacity,
+    multiset_capacity_fast,
+    multiset_capacity_oracle,
+)
+from echcap.distance import capacity_lower_bound, sample_indices
 from echcap.errors import DegenerateRegionError, NonterminationError
 from echcap.geometry import Ellipsoid, MomentProfile, inclusion_scale, radial
 from echcap.weights import WeightMultiset, realize, weight_expansion
@@ -289,3 +300,73 @@ def test_step_limit_names_the_residual_region():
     with pytest.raises(NonterminationError) as err:
         weight_expansion(p, step_limit=0)
     assert str(err.value).endswith(f"residual region {p!r}")
+
+
+def ref_intervals(domain, reach):
+    """c_k as a Fraction interval, from the engine the profile picks at k:
+    an ellipsoid's lattice count, the oracle up to ``reach``, and the exact
+    engine above it."""
+    if isinstance(domain, Ellipsoid):
+        return lambda k: (ellipsoid_capacity(domain, k),) * 2
+    def interval(k):
+        if k <= reach:
+            return (multiset_capacity_oracle(domain, k).best,) * 2
+        result = multiset_capacity_fast(domain, k)
+        return result.best, result.upper
+    return interval
+
+
+def ref_capacity_lower_bound(ref_u, ref_v, K, per_decade):
+    """The exactly largest of max(lo_u / hi_v, lo_v / hi_u) over the sampled
+    k, from 1, and the first k that reaches it (0 if none is above 1)."""
+    best, witness = Fraction(1), 0
+    for k in sample_indices(K, per_decade):
+        (lo_u, hi_u), (lo_v, hi_v) = ref_u(k), ref_v(k)
+        if min(lo_u, lo_v, hi_u, hi_v) <= 0:
+            continue
+        ratio = max(lo_u / hi_v, lo_v / hi_u)
+        if ratio > best:
+            best, witness = ratio, k
+    return best, witness
+
+
+def random_domain(rng):
+    if rng.random() < 0.3:
+        return Ellipsoid(random_weight(rng), random_weight(rng))
+    return random_multiset(rng)
+
+
+@pytest.mark.parametrize("cell_limit", [capacities._CELL_LIMIT, 0], ids=["exact", "intervals"])
+def test_capacity_lower_bound_matches_the_reference(cell_limit, monkeypatch):
+    """On random pairs of ellipsoids and weights, sampled below and above
+    the sweep's reach: the bound is math.log of the exactly largest
+    reference ratio, or 0.0 when that logarithm is 0.0, and the witness is
+    the first k reaching it.  A scaled copy ties every k exactly.  A ratio
+    past the float range (weights of 10^-400) has a finite logarithm too."""
+    monkeypatch.setattr(capacities, "_CELL_LIMIT", cell_limit)
+    rng = random.Random(2011 + cell_limit)
+    intervals = 0
+    for _ in range(60):
+        u = random_domain(rng)
+        if rng.random() < 0.2:
+            t = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            v = Ellipsoid(t * u.a, t * u.b) if isinstance(u, Ellipsoid) else u.scaled(t)
+        else:
+            v = random_domain(rng)
+        K = rng.randint(1, 400)
+        oracle_limit = rng.randint(0, 2 * K)
+        per_decade = rng.choice([4, 16, 64])
+        pu, pv = (CapacityProfile(x, K, oracle_limit=oracle_limit) for x in (u, v))
+        refs = [ref_intervals(x, p.reach) for x, p in ((u, pu), (v, pv))]
+        best, witness = ref_capacity_lower_bound(*refs, K, per_decade)
+        result = capacity_lower_bound(pu, pv, K, per_decade)
+        try:
+            log_best = math.log(best)
+        except OverflowError:  # past the float range: the logarithms of the integers
+            log_best = math.log(best.numerator) - math.log(best.denominator)
+            assert result[0] == pytest.approx(log_best, rel=1e-14) and result[1] == witness
+            continue
+        expected = (log_best, witness) if log_best > 0.0 else (0.0, 0)
+        assert result == expected, (u, v, K, oracle_limit)
+        intervals += sum(lo != hi for p in (pu, pv) for lo, hi in p._memo.values())
+    assert (intervals > 0) == (cell_limit == 0)

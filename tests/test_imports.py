@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module,
 only the CLI and the domain-file module write files or standard output,
-and only ``scalars`` takes the lcm of denominators or touches the cyclic
-garbage collector."""
+only ``scalars`` takes the lcm of denominators or touches the cyclic
+garbage collector, and the capacity lower bound takes one logarithm per
+pair, with no Fraction arithmetic per sampled k."""
 
 import ast
 from pathlib import Path
@@ -159,3 +160,83 @@ def test_gc_use_is_found():
         "gc.callbacks.append(f)\ngc_count(1)\nx.gc.collect\nimport gcx\n"
     )
     assert gc_uses(tree) == [1, 2, 3, 4, 5]
+
+
+def log_calls(func) -> list:
+    """(line, inside a loop) of each ``log(...)`` or ``math.log(...)`` call
+    in a function definition."""
+    in_loop = {id(node) for node in loop_bodies(func)}
+    return sorted(
+        (node.lineno, id(node) in in_loop)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and called_name(node) == "log"
+    )
+
+
+def loop_bodies(func) -> list:
+    """Every node run once per iteration of a loop in ``func``: the bodies
+    of its for and while loops, a while loop's test, and the element and
+    conditions of its comprehensions; not what a loop iterates over."""
+    nodes = []
+    for loop in ast.walk(func):
+        if isinstance(loop, (ast.For, ast.AsyncFor)):
+            parts = loop.body
+        elif isinstance(loop, ast.While):
+            parts = [loop.test, *loop.body]
+        elif isinstance(loop, ast.DictComp):
+            parts = [loop.key, loop.value, *(c for gen in loop.generators for c in gen.ifs)]
+        elif isinstance(loop, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+            parts = [loop.elt, *(c for gen in loop.generators for c in gen.ifs)]
+        else:
+            continue
+        nodes.extend(node for part in parts for node in ast.walk(part))
+    return nodes
+
+
+def per_iteration_arithmetic(func) -> list:
+    """Lines inside a loop of ``func`` that call ``Fraction`` or ``log`` or
+    divide with ``/``."""
+    return sorted(
+        {
+            node.lineno
+            for node in loop_bodies(func)
+            if isinstance(node, ast.Call) and called_name(node) in {"Fraction", "log"}
+            or isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+        }
+    )
+
+
+def function(tree, name):
+    return next(
+        node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+
+
+# the capacity ratios compare in integers; the one logarithm is the seam
+# where a directed rounding goes
+def test_capacity_lower_bound_takes_one_logarithm():
+    path = Path(__file__).resolve().parents[1] / "src" / "echcap" / "distance.py"
+    func = function(ast.parse(path.read_text()), "capacity_lower_bound")
+    logs = log_calls(func)
+    assert len(logs) == 1 and not logs[0][1], f"capacity_lower_bound logs at {logs}"
+    lines = per_iteration_arithmetic(func)
+    assert not lines, f"capacity_lower_bound divides, logs or builds Fractions per k on {lines}"
+
+
+def test_per_iteration_arithmetic_is_found():
+    tree = ast.parse(
+        "def f(xs, n):\n"
+        "    t = math.log(n / 2)\n"
+        "    for x in xs:\n"
+        "        t = max(t, math.log(x))\n"
+        "    while n > 1 / t:\n"
+        "        n //= 2\n"
+        "        n /= 3\n"
+        "    ys = [Fraction(x, n) for x in range(n // 2) if x / n]\n"
+        "    for x in sorted(y / 2 for y in xs):\n"
+        "        pass\n"
+        "    return log(t)\n"
+    )
+    func = function(tree, "f")
+    assert log_calls(func) == [(2, False), (4, True), (11, False)]
+    assert per_iteration_arithmetic(func) == [4, 5, 7, 8, 9]
